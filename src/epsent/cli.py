@@ -19,8 +19,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from . import bounds, compressor, estimators
-from .config import ConfigError, load_config
+from . import bounds, compressor, dynamics, estimators
+from .config import SCHEMA, ConfigError, RunConfig, flag_of, load_config
 from .dynamics import MapSpec, NoiseSpec, dump_orbit, generate_orbit, iterate_map, sample_invariant_orbit, sample_noise
 from .partition import Partition, empirical_cell_frequencies, encode, refine_cylinders
 from .sweep import detect_sigma, emit_csv, emit_plot_data, run_grid
@@ -39,31 +39,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the (sigma, eps) grid and write CSV/plot data")
     sweep.add_argument("--config", help="JSON config file; flags override it")
-    sweep.add_argument("--map", choices=["logistic", "doubling", "tent"])
-    sweep.add_argument("--lambda", dest="lam", type=float, help="logistic parameter in (0,4]")
-    sweep.add_argument("--noise-mode", choices=["none", "output", "dynamical"])
-    sweep.add_argument("--boundary", choices=["clamp", "reflect"])
-    sweep.add_argument("--sigma", action="append", type=float, help="noise amplitude (repeatable)")
-    sweep.add_argument("--cells", action="append", type=int, help="partition cell count (repeatable)")
-    sweep.add_argument("--length", type=int, help="orbit length in symbols")
-    sweep.add_argument("--burn-in", type=int, help="discarded start iterates")
-    sweep.add_argument("--seed", type=int, help="master seed")
-    sweep.add_argument("--workers", type=int, help="parallel worker processes")
-    sweep.add_argument("--algorithm", choices=["lz78", "castore"])
-    sweep.add_argument("--p-samples", type=int, help="Monte-Carlo samples for the mismatch probability")
-    sweep.add_argument("--delta", type=float, help="conditional-entropy flatness tolerance")
-    sweep.add_argument("--flat-slope", type=float)
-    sweep.add_argument("--noise-slope", type=float)
-    sweep.add_argument("--max-block", type=int, help="override the deepest block length")
-    sweep.add_argument("--miller-madow", action="store_const", const=True, default=None)
-    sweep.add_argument("--out-csv", help="CSV output path (default sweep.csv)")
-    sweep.add_argument("--out-plot", help="gnuplot data output path")
+    for key, f in SCHEMA.items():
+        meta = f.metadata
+        kwargs = {"dest": key, "help": meta["help"]}
+        if meta["type"] is bool:
+            kwargs.update(action="store_const", const=True, default=None)
+        elif isinstance(f.default, tuple):
+            kwargs.update(action="append", type=meta["type"])
+        else:
+            kwargs.update(type=meta["type"], choices=meta["choices"])
+        sweep.add_argument(flag_of(key), **kwargs)
 
     sim = sub.add_parser("simulate", help="dump one orbit, one point per line")
-    sim.add_argument("--map", default="logistic", choices=["logistic", "doubling", "tent"])
+    sim.add_argument("--map", default="logistic", choices=dynamics.MAP_KINDS)
     sim.add_argument("--lambda", dest="lam", type=float, default=4.0)
-    sim.add_argument("--noise-mode", default="none", choices=["none", "output", "dynamical"])
-    sim.add_argument("--boundary", default="clamp", choices=["clamp", "reflect"])
+    sim.add_argument("--noise-mode", default="none", choices=dynamics.NOISE_MODES)
+    sim.add_argument("--boundary", default=RunConfig.boundary, choices=dynamics.BOUNDARIES)
     sim.add_argument("--sigma", type=float, default=0.0)
     sim.add_argument("--length", type=int, default=1000)
     sim.add_argument("--burn-in", type=int, default=1000)
@@ -73,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compress", help="compress a whitespace-separated symbol file")
     comp.add_argument("--cells", type=int, required=True, help="alphabet size N")
-    comp.add_argument("--algorithm", default="lz78", choices=["lz78", "castore"])
+    comp.add_argument("--algorithm", default="lz78", choices=compressor.ALGORITHMS)
     comp.add_argument("input")
     comp.add_argument("output")
 
@@ -91,27 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    overrides = {
-        "map": args.map,
-        "lambda": args.lam,
-        "noise_mode": args.noise_mode,
-        "boundary": args.boundary,
-        "sigma": args.sigma,
-        "n_list": args.cells,
-        "length": args.length,
-        "burn_in": args.burn_in,
-        "seed": args.seed,
-        "workers": args.workers,
-        "algorithm": args.algorithm,
-        "p_samples": args.p_samples,
-        "delta": args.delta,
-        "flat_slope": args.flat_slope,
-        "noise_slope": args.noise_slope,
-        "max_block": args.max_block,
-        "miller_madow": args.miller_madow,
-        "out_csv": args.out_csv,
-        "out_plot": args.out_plot,
-    }
+    overrides = {key: getattr(args, key) for key in SCHEMA}
     cfg = load_config(args.config, overrides)
     curves = run_grid(cfg)
     out_csv = cfg.out_csv or "sweep.csv"
@@ -279,7 +250,6 @@ def _selftest_checks() -> list[tuple[str, str]]:
         assert p1 >= 0.25, f"p_hat {p1:.4f}"
 
     def sweep_determinism() -> None:
-        from .config import RunConfig
         from .sweep import curves_to_rows
 
         cfg = RunConfig(sigma=(0.05,), n_list=(2, 4), length=2000, p_samples=1000)

@@ -44,8 +44,10 @@ MAGIC = b"EPSC"
 VERSION = 2
 HEADER_BYTES = 16
 HEADER_BITS = HEADER_BYTES * 8
+MAX_ALPHABET = 0xFFFF  # the header stores the alphabet size as u16
 _ALGO_IDS = {"lz78": 0, "castore": 1}
 _ALGO_NAMES = {v: k for k, v in _ALGO_IDS.items()}
+ALGORITHMS = tuple(_ALGO_IDS)
 
 NODE_CAP = 10**8
 
@@ -416,7 +418,8 @@ def castore_encode(
 
 
 def _castore_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> np.ndarray:
-    out = np.empty(input_len, dtype=np.int32)
+    # grown as the records arrive: the declared length is not trusted
+    out: list[int] = []
     # word id -> (left id, right id) with single symbols as (-(s+1), 0)
     pairs: list[tuple[int, int]] = [(0, 0)]
     lengths = [0]
@@ -425,20 +428,16 @@ def _castore_decode_body(reader: BitReader, alphabet_size: int, input_len: int) 
         lengths.append(1)
     dict_size = alphabet_size
 
-    def emit(word: int, at: int) -> int:
+    def emit(word: int) -> None:
         stack = [word]
-        pos = at
         while stack:
-            w = stack.pop()
-            left, right = pairs[w]
+            left, right = pairs[stack.pop()]
             if left < 0:
-                out[pos] = -left - 1
-                pos += 1
+                out.append(-left - 1)
             else:
                 if right:
                     stack.append(right)
                 stack.append(left)
-        return pos - at
 
     decoded = 0
     while decoded < input_len:
@@ -450,20 +449,20 @@ def _castore_decode_body(reader: BitReader, alphabet_size: int, input_len: int) 
         if v == 0:
             if decoded + lengths[u] != input_len:
                 raise DecodeError("final phrase does not close the declared length")
-            emit(u, decoded)
-            decoded = input_len
+            emit(u)
             break
         if v > dict_size:
             raise DecodeError(f"word index {v} outside dictionary of {dict_size}")
-        if decoded + lengths[u] + lengths[v] > input_len:
+        n = lengths[u] + lengths[v]
+        if decoded + n > input_len:
             raise DecodeError(f"phrase overruns declared length {input_len}")
-        n = emit(u, decoded)
-        n += emit(v, decoded + n)
+        emit(u)
+        emit(v)
         decoded += n
         pairs.append((u, v))
-        lengths.append(lengths[u] + lengths[v])
+        lengths.append(n)
         dict_size += 1
-    return out
+    return np.array(out, dtype=np.int32)
 
 
 def decode(stream: bytes) -> tuple[SymbolicSequence, str]:

@@ -2,67 +2,73 @@
 
 A config file is a flat JSON object; keys match the CLI flag names documented
 in the README.  Unknown keys are rejected.  Flag values override file values.
+Each :class:`RunConfig` field carries its key, its ``epsent sweep`` flag, its
+help text, its element type and its allowed values; ``SCHEMA`` collects them,
+and loading, the choice checks and the sweep flags are all driven by it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
+
+from .compressor import ALGORITHMS, MAX_ALPHABET
+from .dynamics import BOUNDARIES, MAP_KINDS, NOISE_MODES
 
 DEFAULT_SEED = 0x5EEDC0DE
 DEFAULT_CELLS = (2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 125, 250)
 DEFAULT_SIGMAS = (0.5, 0.1, 0.02, 0.01, 0.001)
-
-_MAP_KINDS = ("logistic", "doubling", "tent")
-_NOISE_MODES = ("none", "output", "dynamical")
-_BOUNDARIES = ("clamp", "reflect")
-_ALGORITHMS = ("lz78", "castore")
 
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
+def _param(default, help, *, elem=None, choices=None, key=None, flag=None):
+    """A RunConfig field and its schema entry.
+
+    ``key`` is the config-file key (default: the field name) and ``flag`` the
+    ``epsent sweep`` flag (default: ``--`` plus the key with dashes).  The
+    element type ``elem`` (default: the type of ``default``) converts one flag
+    value, or one element of a tuple field, which is a repeatable flag and a
+    JSON list.  ``choices`` lists the allowed values.
+    """
+    elem = elem or type(default)
+    meta = {"key": key, "flag": flag, "help": help, "type": elem, "choices": choices}
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    map: str = "logistic"
-    lam: float = 4.0
-    noise_mode: str = "dynamical"
-    boundary: str = "reflect"
-    sigma: tuple[float, ...] = DEFAULT_SIGMAS
-    n_list: tuple[int, ...] = DEFAULT_CELLS
-    length: int = 1_000_000
-    burn_in: int = 1000
-    seed: int = DEFAULT_SEED
-    workers: int = 1
-    algorithm: str = "lz78"
-    p_samples: int = 20_000
-    delta: float = 0.05
-    flat_slope: float = 0.15
-    noise_slope: float = 0.85
-    max_block: int | None = None
-    miller_madow: bool = False
-    out_csv: str | None = None
-    out_plot: str | None = None
+    map: str = _param("logistic", "interval map", choices=MAP_KINDS)
+    lam: float = _param(4.0, "logistic parameter in (0,4]", key="lambda")
+    noise_mode: str = _param("dynamical", "where the noise acts", choices=NOISE_MODES)
+    boundary: str = _param("reflect", "how noise is folded back into [0,1]", choices=BOUNDARIES)
+    sigma: tuple[float, ...] = _param(DEFAULT_SIGMAS, "noise amplitude (repeatable)", elem=float)
+    n_list: tuple[int, ...] = _param(
+        DEFAULT_CELLS, "partition cell count (repeatable)", elem=int, flag="--cells"
+    )
+    length: int = _param(1_000_000, "orbit length in symbols")
+    burn_in: int = _param(1000, "discarded start iterates")
+    seed: int = _param(DEFAULT_SEED, "master seed")
+    workers: int = _param(1, "parallel worker processes")
+    algorithm: str = _param("lz78", "compressor for the rate", choices=ALGORITHMS)
+    p_samples: int = _param(20_000, "Monte-Carlo samples for the mismatch probability")
+    delta: float = _param(0.05, "conditional-entropy flatness tolerance")
+    max_block: int | None = _param(None, "override the deepest block length", elem=int)
+    miller_madow: bool = _param(False, "Miller-Madow entropy bias correction")
+    out_csv: str | None = _param(None, "CSV output path (default sweep.csv)", elem=str)
+    out_plot: str | None = _param(None, "gnuplot data output path", elem=str)
 
     def validate(self) -> "RunConfig":
-        if self.map not in _MAP_KINDS:
-            raise ConfigError(f"map: must be one of {_MAP_KINDS}, got {self.map!r}")
+        for key, f in SCHEMA.items():
+            value = getattr(self, f.name)
+            choices = f.metadata["choices"]
+            if choices and value not in choices:
+                raise ConfigError(f"{key}: must be one of {choices}, got {value!r}")
         if self.map == "logistic" and not 0.0 < self.lam <= 4.0:
             raise ConfigError(f"lambda: must be in (0, 4], got {self.lam}")
-        if self.noise_mode not in _NOISE_MODES:
-            raise ConfigError(
-                f"noise_mode: must be one of {_NOISE_MODES}, got {self.noise_mode!r}"
-            )
-        if self.boundary not in _BOUNDARIES:
-            raise ConfigError(
-                f"boundary: must be one of {_BOUNDARIES}, got {self.boundary!r}"
-            )
-        if self.algorithm not in _ALGORITHMS:
-            raise ConfigError(
-                f"algorithm: must be one of {_ALGORITHMS}, got {self.algorithm!r}"
-            )
         if not self.sigma:
             raise ConfigError("sigma: need at least one value")
         for s in self.sigma:
@@ -71,8 +77,8 @@ class RunConfig:
         if not self.n_list:
             raise ConfigError("n_list: need at least one cell count")
         for n in self.n_list:
-            if n < 2:
-                raise ConfigError(f"n_list: cell counts must be >= 2, got {n}")
+            if not 2 <= n <= MAX_ALPHABET:
+                raise ConfigError(f"n_list: cell counts must be in [2, {MAX_ALPHABET}], got {n}")
         if self.length < 1000:
             raise ConfigError(f"length: must be >= 1000, got {self.length}")
         if self.burn_in < 0:
@@ -83,41 +89,34 @@ class RunConfig:
             raise ConfigError(f"p_samples: must be >= 1, got {self.p_samples}")
         if self.delta <= 0.0:
             raise ConfigError(f"delta: must be > 0, got {self.delta}")
-        if self.flat_slope < 0.0 or self.noise_slope < 0.0:
-            raise ConfigError("flat_slope/noise_slope: must be >= 0")
         if self.max_block is not None and self.max_block < 2:
             raise ConfigError(f"max_block: must be >= 2, got {self.max_block}")
         return self
 
 
-# JSON/flag key -> dataclass field (identity unless renamed).
-_KEY_TO_FIELD = {f.name: f.name for f in fields(RunConfig)} | {"lambda": "lam"}
+# config key -> RunConfig field: the one schema behind the config file, the
+# sweep flags and the choice checks
+SCHEMA = {f.metadata["key"] or f.name: f for f in fields(RunConfig)}
 
 
-def _coerce(name: str, value: Any) -> Any:
-    if name == "sigma":
-        return tuple(float(v) for v in value)
-    if name == "n_list":
-        return tuple(int(v) for v in value)
-    return value
+def flag_of(key: str) -> str:
+    """The ``epsent sweep`` flag that sets config key ``key``."""
+    return SCHEMA[key].metadata["flag"] or "--" + key.replace("_", "-")
 
 
 def from_mapping(mapping: Mapping[str, Any], base: RunConfig | None = None) -> RunConfig:
     """Build a config from a flat mapping, rejecting unknown keys."""
-    cfg = base or RunConfig()
     updates: dict[str, Any] = {}
     for key, value in mapping.items():
-        if key not in _KEY_TO_FIELD:
+        if key not in SCHEMA:
             raise ConfigError(f"{key}: unknown configuration key")
         if value is None:
             continue
-        name = _KEY_TO_FIELD[key]
-        updates[name] = _coerce(name, value)
-    try:
-        cfg = replace(cfg, **updates)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+        f = SCHEMA[key]
+        if isinstance(f.default, tuple):
+            value = tuple(map(f.metadata["type"], value))
+        updates[f.name] = value
+    return replace(base or RunConfig(), **updates)
 
 
 def load_config(path: str | None, overrides: Mapping[str, Any] | None = None) -> RunConfig:

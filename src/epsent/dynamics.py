@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
 from .seeds import BITS_STREAM, INIT_STREAM, NOISE_STREAM, mix
 
-MapKind = Literal["logistic", "doubling", "tent"]
-NoiseMode = Literal["none", "output", "dynamical"]
-BoundaryPolicy = Literal["clamp", "reflect"]
+MAP_KINDS = ("logistic", "doubling", "tent")
+NOISE_MODES = ("none", "output", "dynamical")
+BOUNDARIES = ("clamp", "reflect")
 
 _MASK64 = (1 << 64) - 1
 _SCALE64 = float(2**64)
@@ -39,19 +39,14 @@ _SCALE64 = float(2**64)
 class MapSpec:
     """A piecewise monotone map of [0,1] with its branch structure."""
 
-    kind: MapKind
+    kind: str
     lam: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("logistic", "doubling", "tent"):
+        if self.kind not in MAP_KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}")
         if self.kind == "logistic" and not 0.0 < self.lam <= 4.0:
             raise ValueError(f"logistic parameter must be in (0, 4], got {self.lam}")
-
-    @property
-    def branch_points(self) -> tuple[float, ...]:
-        """Monotonicity breakpoints strictly inside (0,1)."""
-        return (0.5,)
 
 
 @dataclass(frozen=True)
@@ -59,20 +54,20 @@ class NoiseSpec:
     """i.i.d. uniform noise on [-sigma, sigma] plus how it enters the system."""
 
     sigma: float = 0.0
-    mode: NoiseMode = "none"
-    boundary: BoundaryPolicy = "reflect"
+    mode: str = "none"
+    boundary: str = "reflect"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.mode not in ("none", "output", "dynamical"):
+        if self.mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.boundary not in ("clamp", "reflect"):
+        if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary policy {self.boundary!r}")
 
     @property
-    def effective_mode(self) -> NoiseMode:
+    def effective_mode(self) -> str:
         """sigma == 0 behaves exactly like mode 'none' regardless of mode."""
         return "none" if self.sigma == 0.0 else self.mode
 
@@ -167,7 +162,7 @@ def sample_noise(noise: NoiseSpec, count: int) -> np.ndarray:
     return rng.uniform(-noise.sigma, noise.sigma, size=count)
 
 
-def apply_boundary(y: float, policy: BoundaryPolicy) -> float:
+def apply_boundary(y: float, policy: str) -> float:
     """Map an arbitrary real back into [0,1] by clamping or reflection."""
     if policy == "clamp":
         return 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
@@ -177,7 +172,7 @@ def apply_boundary(y: float, policy: BoundaryPolicy) -> float:
     return 2.0 - y if y > 1.0 else y
 
 
-def apply_boundary_array(y: np.ndarray, policy: BoundaryPolicy) -> np.ndarray:
+def apply_boundary_array(y: np.ndarray, policy: str) -> np.ndarray:
     if policy == "clamp":
         return np.clip(y, 0.0, 1.0)
     y = np.mod(y, 2.0)
@@ -189,7 +184,7 @@ def _lazy_bits(noise: NoiseSpec, count: int) -> np.ndarray:
     return rng.integers(0, 2, size=count, dtype=np.uint8)
 
 
-def _shift_state(kind: MapKind, state: int, bit: int) -> int:
+def _shift_state(kind: str, state: int, bit: int) -> int:
     """Exact map step on the 64-bit binary-expansion window."""
     top = state >> 63
     state = ((state << 1) | bit) & _MASK64

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import MapSpec, NoiseSpec, RealOrbit, map_branches
+from .dynamics import MapSpec, RealOrbit, map_branches
 
 _WIDTH_TOL = 1e-14
 _TOUCH_TOL = 1e-12
@@ -45,11 +45,10 @@ class Partition:
 
 @dataclass
 class SymbolicSequence:
-    """Finite word over {0..N-1} with the partition diameter it came from."""
+    """Finite word over the alphabet {0..N-1}, N = ``alphabet_size``."""
 
     symbols: np.ndarray
     alphabet_size: int
-    source_meta: tuple[MapSpec, NoiseSpec, float] | None = None
 
     def __post_init__(self) -> None:
         self.symbols = np.asarray(self.symbols, dtype=np.int32)
@@ -73,15 +72,10 @@ class CylinderSet:
 
 def encode(orbit: RealOrbit | np.ndarray | Sequence[float], partition: Partition) -> SymbolicSequence:
     """Symbol j is the partition cell containing orbit point j."""
-    if isinstance(orbit, RealOrbit):
-        points = orbit.points
-        meta = (orbit.map, orbit.noise, partition.diameter)
-    else:
-        points = np.asarray(orbit, dtype=float)
-        meta = None
+    points = orbit.points if isinstance(orbit, RealOrbit) else np.asarray(orbit, dtype=float)
     n = partition.n_cells
     symbols = np.minimum(np.floor(points * n).astype(np.int32), n - 1)
-    return SymbolicSequence(symbols=symbols, alphabet_size=n, source_meta=meta)
+    return SymbolicSequence(symbols=symbols, alphabet_size=n)
 
 
 def refine_cylinders(

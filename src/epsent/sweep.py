@@ -9,13 +9,13 @@ sweep reproduces the output byte for byte.
 
 The noise-free quantities the bounds need (entropy proxy, convergence depth,
 refined-partition diameter) come from one companion run with sigma = 0,
-encoded against each partition of the grid.  A failed cell is logged and
-dropped from its curve rather than aborting the sweep.
+encoded against each partition of the grid.  A cell that fails aborts the
+sweep with a ``RuntimeError`` naming its sigma and cell count, so a curve is
+never returned with a point missing.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -35,8 +35,6 @@ from .estimators import (
 )
 from .partition import Partition, encode, refine_cylinders
 from .seeds import cell_seed, companion_seed
-
-log = logging.getLogger(__name__)
 
 CSV_COLUMNS = (
     "sigma",
@@ -151,7 +149,7 @@ def companion_stats(config: RunConfig, spec: MapSpec | None = None) -> list[Comp
 
 def _cell_task(
     args: tuple[RunConfig, float, int, int, int, CompanionStats],
-) -> CurvePoint | None:
+) -> CurvePoint:
     config, sigma, n, si, ei, comp = args
     try:
         spec = MapSpec(config.map, config.lam)
@@ -197,9 +195,8 @@ def _cell_task(
             upper_bound=upper,
             cell_seed=seed,
         )
-    except Exception:
-        log.exception("grid cell sigma=%s n_cells=%s failed", sigma, n)
-        return None
+    except Exception as exc:
+        raise RuntimeError(f"grid cell sigma={sigma} n_cells={n} failed: {exc!r}") from exc
 
 
 def run_grid(config: RunConfig) -> list[EntropyCurve]:
@@ -223,10 +220,7 @@ def run_grid(config: RunConfig) -> list[EntropyCurve]:
     curves = []
     per_sigma = len(cells)
     for si, sigma in enumerate(sigmas):
-        points = [
-            p for p in results[si * per_sigma : (si + 1) * per_sigma] if p is not None
-        ]
-        points.sort(key=lambda p: -p.eps)
+        points = sorted(results[si * per_sigma : (si + 1) * per_sigma], key=lambda p: -p.eps)
         curves.append(
             EntropyCurve(
                 sigma=sigma,

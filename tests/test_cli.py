@@ -3,8 +3,31 @@ import json
 import numpy as np
 import pytest
 
+from epsent import cli, sweep
 from epsent.cli import dispatch
-from epsent.config import ConfigError, RunConfig, load_config
+from epsent.config import SCHEMA, ConfigError, RunConfig, load_config
+
+# A non-default value for every config key.  Its sweep flag is the key with
+# dashes, except --cells for n_list.
+NON_DEFAULT = {
+    "map": "tent",
+    "lambda": 3.5,
+    "noise_mode": "output",
+    "boundary": "clamp",
+    "sigma": [0.2, 0.3],
+    "n_list": [5, 7],
+    "length": 5000,
+    "burn_in": 10,
+    "seed": 9,
+    "workers": 2,
+    "algorithm": "castore",
+    "p_samples": 50,
+    "delta": 0.1,
+    "max_block": 4,
+    "miller_madow": True,
+    "out_csv": "other.csv",
+    "out_plot": "other.dat",
+}
 
 
 class TestConfigLoading:
@@ -53,6 +76,38 @@ class TestConfigLoading:
             RunConfig(n_list=(1,)).validate()
         with pytest.raises(ConfigError, match="sigma"):
             RunConfig(sigma=(-0.1,)).validate()
+        with pytest.raises(ConfigError, match="n_list"):
+            RunConfig(n_list=(2, 70_000)).validate()
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_sweep_flag_and_key_set_the_field(self, key, tmp_path, monkeypatch):
+        assert SCHEMA.keys() == NON_DEFAULT.keys()
+        value = NON_DEFAULT[key]
+        flag = {"n_list": "--cells"}.get(key, "--" + key.replace("_", "-"))
+        if isinstance(value, list):
+            argv = [arg for v in value for arg in (flag, str(v))]
+        elif value is True:
+            argv = [flag]
+        else:
+            argv = [flag, str(value)]
+        seen = []
+        monkeypatch.setattr(cli, "run_grid", lambda cfg: seen.append(cfg) or [])
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["sweep", *argv]) == 0
+
+        name = SCHEMA[key].name
+        expected = tuple(value) if isinstance(value, list) else value
+        assert expected != getattr(RunConfig(), name)
+        assert getattr(seen[0], name) == expected
+        assert getattr(load_config(None, {key: value}), name) == expected
+
+    @pytest.mark.parametrize("key", ["map", "noise_mode", "boundary", "algorithm"])
+    def test_choice_fields_reject_unknown_values(self, key):
+        assert SCHEMA[key].metadata["choices"]
+        with pytest.raises(ConfigError, match=f"{key}: must be one of"):
+            load_config(None, {key: "bogus"})
 
 
 class TestSweepCommand:
@@ -82,6 +137,34 @@ class TestSweepCommand:
         code = dispatch(["sweep", "--lambda", "5", "--length", "2000"])
         assert code == 2
         assert "lambda" in capsys.readouterr().err
+
+    def test_cell_count_beyond_stream_header_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        code = dispatch(
+            ["sweep", "--cells", "2", "--cells", "70000", "--length", "2000",
+             "--out-csv", str(csv_path)]
+        )
+        assert code == 2
+        assert "n_list" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    def test_failing_cell_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
+        estimate_p = sweep.estimate_p
+
+        def fails_at_four_cells(spec, part, *args):
+            if part.n_cells == 4:
+                raise ValueError("injected")
+            return estimate_p(spec, part, *args)
+
+        monkeypatch.setattr(sweep, "estimate_p", fails_at_four_cells)
+        csv_path = tmp_path / "out.csv"
+        code = dispatch(
+            ["sweep", "--sigma", "0.05", "--cells", "2", "--cells", "4",
+             "--length", "2000", "--p-samples", "500", "--out-csv", str(csv_path)]
+        )
+        assert code == 1
+        assert not csv_path.exists()
+        assert "sigma=0.05 n_cells=4" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -117,6 +200,14 @@ class TestSimulateCommand:
         values = [float(line) for line in out.read_text().splitlines()]
         assert len(values) == 500
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_boundary_defaults_to_reflect_like_sweep(self, tmp_path):
+        argv = ["simulate", "--noise-mode", "dynamical", "--sigma", "0.5", "--seed", "3",
+                "--length", "2000"]
+        default, reflect = tmp_path / "default.txt", tmp_path / "reflect.txt"
+        assert dispatch([*argv, "--out", str(default)]) == 0
+        assert dispatch([*argv, "--boundary", "reflect", "--out", str(reflect)]) == 0
+        assert default.read_bytes() == reflect.read_bytes()
 
 
 class TestCompressionCommands:

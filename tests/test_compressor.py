@@ -141,7 +141,36 @@ class TestRoundTrips:
             lz78_decode(stream)
 
 
+@st.composite
+def damaged_streams(draw):
+    """A valid stream of either coder, bit-flipped and/or truncated."""
+    encoder = draw(st.sampled_from([lz78_encode, castore_encode]))
+    n = draw(st.integers(2, 6))
+    symbols = draw(st.lists(st.integers(0, n - 1), max_size=200))
+    stream = bytearray(encoder(symbols, alphabet_size=n)[0])
+    # bits 40..127 are the header's alphabet size, symbol count and algorithm id
+    anywhere = st.integers(0, 8 * len(stream) - 1)
+    for bit in draw(st.lists(st.one_of(st.integers(40, 127), anywhere), max_size=4)):
+        stream[bit >> 3] ^= 0x80 >> (bit & 7)
+    return bytes(stream[: draw(st.integers(0, len(stream)))])
+
+
 class TestMalformedStreams:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.binary(max_size=64), damaged_streams()))
+    def test_decode_returns_or_raises_decode_error(self, stream):
+        try:
+            decode(stream)
+        except DecodeError:
+            pass
+
+    @pytest.mark.parametrize("algorithm", ["lz78", "castore"])
+    @pytest.mark.parametrize("count", [2**40, 2**64 - 1])
+    def test_forged_symbol_count(self, algorithm, count):
+        stream = _pack_header(2, count, algorithm) + b"\x55" * 8
+        with pytest.raises(DecodeError):
+            decode(stream)
+
     def test_truncated(self):
         stream, _ = lz78_encode(list(range(8)) * 40, alphabet_size=8)
         with pytest.raises(DecodeError):

@@ -32,8 +32,6 @@ class TestEncode:
         orbit = generate_orbit(MapSpec("doubling"), 0.3, 5, NoiseSpec(seed=0))
         seq = encode(orbit, Partition(8))
         assert seq.alphabet_size == 8
-        assert seq.source_meta is not None
-        assert seq.source_meta[2] == pytest.approx(0.125)
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
