@@ -45,6 +45,9 @@ VERSION = 2
 HEADER_BYTES = 16
 HEADER_BITS = HEADER_BYTES * 8
 MAX_ALPHABET = 0xFFFF  # the header stores the alphabet size as u16
+# longest sequence a stream may hold: a castore record can double the output,
+# so a short forged stream would otherwise declare and expand to any length
+MAX_SYMBOLS = 1 << 24
 _ALGO_IDS = {"lz78": 0, "castore": 1}
 _ALGO_NAMES = {v: k for k, v in _ALGO_IDS.items()}
 ALGORITHMS = tuple(_ALGO_IDS)
@@ -189,6 +192,8 @@ def _unpack_header(data: bytes) -> tuple[int, int, str]:
         )
     if alphabet_size < 2:
         raise DecodeError(f"alphabet size {alphabet_size} invalid at byte 5")
+    if input_len > MAX_SYMBOLS:
+        raise DecodeError(f"symbol count {input_len} at byte 7 exceeds the limit of {MAX_SYMBOLS}")
     if algo_id not in _ALGO_NAMES:
         raise DecodeError(f"unknown algorithm id {algo_id} at byte 15")
     return alphabet_size, input_len, _ALGO_NAMES[algo_id]
@@ -196,13 +201,16 @@ def _unpack_header(data: bytes) -> tuple[int, int, str]:
 
 def _as_symbols(seq: SymbolicSequence | Sequence[int] | np.ndarray, alphabet_size: int | None) -> tuple[np.ndarray, int]:
     if isinstance(seq, SymbolicSequence):
-        return seq.symbols, seq.alphabet_size
-    symbols = np.asarray(seq, dtype=np.int32)
-    if alphabet_size is None:
-        alphabet_size = int(symbols.max()) + 1 if symbols.size else 2
-    alphabet_size = max(alphabet_size, 2)
-    if symbols.size and (int(symbols.min()) < 0 or int(symbols.max()) >= alphabet_size):
-        raise ValueError("symbols outside alphabet range")
+        symbols, alphabet_size = seq.symbols, seq.alphabet_size
+    else:
+        symbols = np.asarray(seq, dtype=np.int32)
+        if alphabet_size is None:
+            alphabet_size = int(symbols.max()) + 1 if symbols.size else 2
+        alphabet_size = max(alphabet_size, 2)
+        if symbols.size and (int(symbols.min()) < 0 or int(symbols.max()) >= alphabet_size):
+            raise ValueError("symbols outside alphabet range")
+    if symbols.size > MAX_SYMBOLS:
+        raise ValueError(f"{symbols.size} symbols exceed the stream limit of {MAX_SYMBOLS}")
     return symbols, alphabet_size
 
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
-from .compressor import ALGORITHMS, MAX_ALPHABET
+from .compressor import ALGORITHMS, MAX_ALPHABET, MAX_SYMBOLS
 from .dynamics import BOUNDARIES, MAP_KINDS, NOISE_MODES
 
 DEFAULT_SEED = 0x5EEDC0DE
@@ -79,8 +79,8 @@ class RunConfig:
         for n in self.n_list:
             if not 2 <= n <= MAX_ALPHABET:
                 raise ConfigError(f"n_list: cell counts must be in [2, {MAX_ALPHABET}], got {n}")
-        if self.length < 1000:
-            raise ConfigError(f"length: must be >= 1000, got {self.length}")
+        if not 1000 <= self.length <= MAX_SYMBOLS:
+            raise ConfigError(f"length: must be in [1000, {MAX_SYMBOLS}], got {self.length}")
         if self.burn_in < 0:
             raise ConfigError(f"burn_in: must be >= 0, got {self.burn_in}")
         if self.workers < 1:
@@ -113,10 +113,23 @@ def from_mapping(mapping: Mapping[str, Any], base: RunConfig | None = None) -> R
         if value is None:
             continue
         f = SCHEMA[key]
+        elem = f.metadata["type"]
         if isinstance(f.default, tuple):
-            value = tuple(map(f.metadata["type"], value))
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{key}: expected a list of {elem.__name__}, got {value!r}")
+            value = tuple(_typed(key, elem, v) for v in value)
+        else:
+            value = _typed(key, elem, value)
         updates[f.name] = value
     return replace(base or RunConfig(), **updates)
+
+
+def _typed(key: str, elem: type, value: Any) -> Any:
+    """``value`` as an ``elem``; a bool is no number, an int is a float."""
+    accepted = (int, float) if elem is float else elem
+    if isinstance(value, bool) != (elem is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key}: expected {elem.__name__}, got {value!r}")
+    return elem(value)
 
 
 def load_config(path: str | None, overrides: Mapping[str, Any] | None = None) -> RunConfig:

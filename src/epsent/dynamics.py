@@ -13,13 +13,19 @@ maps therefore tracks the state as a 64-bit integer window onto the binary
 expansion of the initial condition, appending one seeded random bit per step.
 This samples the initial condition lazily to unbounded precision and is
 statistically exact for Lebesgue-random starting points; emitted points are
-the rounded doubles.  The logistic map has no such degeneracy and is iterated
-directly in double precision.
+the rounded doubles.  Without dynamical noise the windows are computed for
+all steps at once with numpy: a doubling window is 64 consecutive bits of
+the expansion, and a tent window is the same over the expansion with the
+tent folds XORed in at stride 65 (see :func:`_window_orbit`).  Dynamical
+noise re-quantizes the state from a double at every step, so that orbit is
+stepped one point at a time.  The logistic map has no such degeneracy and is
+iterated directly in double precision.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -193,6 +199,45 @@ def _shift_state(kind: str, state: int, bit: int) -> int:
     return state
 
 
+def _window_orbit(kind: str, state0: int, bits: np.ndarray) -> np.ndarray:
+    """Points state_n / 2**64, n = 0..len(bits), of the noise-free shift orbit.
+
+    Gives the same states as stepping :func:`_shift_state` over ``bits``.  Let
+    ``ext`` be the 64 bits of ``state0``, most significant first, followed by
+    ``bits``.  For doubling, state_n is the window ext[n : n+64]; all windows
+    are packed at once by shift-and-OR over spans 1, 2, 4, ..., 32.  A tent
+    fold complements the whole window, so tent windows come from the folded
+    sequence e[k] = ext[k] ^ e[k-65] (e[k] = ext[k] for k < 65), a cumulative
+    XOR down the columns of ``ext`` laid out in rows of 65 bits: state_n is
+    the window e[n : n+64], complemented where e[n-1] == 1.
+    """
+    length = bits.size + 1
+    ext = np.empty(bits.size + 64, dtype=np.uint8)
+    ext[:64] = np.unpackbits(np.frombuffer(state0.to_bytes(8, "big"), dtype=np.uint8))
+    ext[64:] = bits
+    if kind == "tent":
+        rows = np.zeros(-(-ext.size // 65) * 65, dtype=np.uint8)
+        rows[: ext.size] = ext
+        rows = rows.reshape(-1, 65)
+        np.bitwise_xor.accumulate(rows, axis=0, out=rows)
+        ext = rows.reshape(-1)[: ext.size]
+    win = ext.astype(np.uint64)
+    tmp = np.empty_like(win)
+    m = win.size
+    for span in (1, 2, 4, 8, 16, 32):
+        m -= span
+        np.left_shift(win[:m], span, out=tmp[:m])
+        np.bitwise_or(tmp[:m], win[span : span + m], out=tmp[:m])
+        win, tmp = tmp, win
+    states = win[:length]
+    if kind == "tent":
+        # -e[n-1] is MASK where e[n-1] == 1 and 0 elsewhere
+        states[1:] ^= np.negative(ext[: length - 1], dtype=np.uint64)
+    points = tmp[:length].view(np.float64)  # the spare buffer takes the points
+    np.divide(states, _SCALE64, out=points)
+    return points
+
+
 def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> RealOrbit:
     """Generate an orbit of ``length`` points starting from ``x0``.
 
@@ -211,26 +256,37 @@ def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> R
     policy = noise.boundary
     w = sample_noise(noise, length) if mode != "none" else None
 
-    points = np.empty(length)
     if spec.kind == "logistic":
         lam = spec.lam
         x = x0
-        if mode == "dynamical":
-            wl = w.tolist()
-            for n in range(length):
-                points[n] = x
-                if n + 1 < length:
-                    x = apply_boundary(lam * x * (1.0 - x) + wl[n + 1], policy)
-        else:
-            for n in range(length):
-                points[n] = x
+        acc = array("d", [x])
+        append = acc.append
+        if mode != "dynamical":
+            for _ in range(length - 1):
                 x = lam * x * (1.0 - x)
+                append(x)
+        elif policy == "clamp":
+            for wn in w[1:].tolist():
+                x = lam * x * (1.0 - x) + wn
+                x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+                append(x)
+        else:
+            for wn in w[1:].tolist():
+                x = lam * x * (1.0 - x) + wn
+                if not 0.0 <= x <= 1.0:
+                    x %= 2.0
+                    if x > 1.0:
+                        x = 2.0 - x
+                append(x)
+        points = np.frombuffer(acc, dtype=np.float64)
     else:
-        bits = _lazy_bits(noise, length).tolist()
+        bits = _lazy_bits(noise, length)
         state = min(int(x0 * _SCALE64), _MASK64)
-        kind = spec.kind
         if mode == "dynamical":
+            kind = spec.kind
+            bits = bits.tolist()
             wl = w.tolist()
+            points = np.empty(length)
             for n in range(length):
                 points[n] = state / _SCALE64
                 if n + 1 < length:
@@ -238,9 +294,7 @@ def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> R
                     y = apply_boundary(state / _SCALE64 + wl[n + 1], policy)
                     state = min(int(y * _SCALE64), _MASK64)
         else:
-            for n in range(length):
-                points[n] = state / _SCALE64
-                state = _shift_state(kind, state, bits[n])
+            points = _window_orbit(spec.kind, state, bits[:-1])
 
     if mode == "output":
         points = apply_boundary_array(points + w, policy)

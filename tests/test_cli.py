@@ -29,6 +29,27 @@ NON_DEFAULT = {
     "out_plot": "other.dat",
 }
 
+# A value of the wrong type for every config key.
+WRONG_TYPE = {
+    "map": 3,
+    "lambda": "4",
+    "noise_mode": ["output"],
+    "boundary": 1,
+    "sigma": 0.5,
+    "n_list": [2, 2.5],
+    "length": "abc",
+    "burn_in": True,
+    "seed": 1.5,
+    "workers": 1.5,
+    "algorithm": 0,
+    "p_samples": "100",
+    "delta": False,
+    "max_block": 4.0,
+    "miller_madow": 1,
+    "out_csv": 5,
+    "out_plot": ["plot.dat"],
+}
+
 
 class TestConfigLoading:
     def test_minimal_file_fills_defaults(self, tmp_path):
@@ -78,6 +99,8 @@ class TestConfigLoading:
             RunConfig(sigma=(-0.1,)).validate()
         with pytest.raises(ConfigError, match="n_list"):
             RunConfig(n_list=(2, 70_000)).validate()
+        with pytest.raises(ConfigError, match="length"):
+            RunConfig(length=2**24 + 1).validate()
 
 
 class TestConfigSchema:
@@ -102,6 +125,17 @@ class TestConfigSchema:
         assert expected != getattr(RunConfig(), name)
         assert getattr(seen[0], name) == expected
         assert getattr(load_config(None, {key: value}), name) == expected
+
+    @pytest.mark.parametrize("key", sorted(WRONG_TYPE))
+    def test_wrong_value_type_names_the_key(self, key):
+        assert SCHEMA.keys() == WRONG_TYPE.keys()
+        with pytest.raises(ConfigError, match=f"^{key}: expected "):
+            load_config(None, {key: WRONG_TYPE[key]})
+
+    def test_int_is_accepted_as_float(self):
+        cfg = load_config(None, {"lambda": 3, "sigma": [1, 0.5], "delta": 1})
+        assert (cfg.lam, cfg.sigma, cfg.delta) == (3.0, (1.0, 0.5), 1.0)
+        assert all(type(v) is float for v in (cfg.lam, *cfg.sigma, cfg.delta))
 
     @pytest.mark.parametrize("key", ["map", "noise_mode", "boundary", "algorithm"])
     def test_choice_fields_reject_unknown_values(self, key):
@@ -165,6 +199,14 @@ class TestSweepCommand:
         assert code == 1
         assert not csv_path.exists()
         assert "sigma=0.05 n_cells=4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"sigma": 0.5}', '{"workers": 1.5}'])
+    def test_wrong_config_value_type_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code = dispatch(["sweep", "--config", str(path)])
+        assert code == 2
+        assert json.loads(text).popitem()[0] in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

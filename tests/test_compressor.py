@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from epsent.compressor import (
     HEADER_BITS,
+    MAX_SYMBOLS,
     BitReader,
     BitWriter,
     DecodeError,
     _pack_header,
+    _unpack_header,
     castore_decode,
     castore_encode,
     complexity_rate,
@@ -153,6 +155,56 @@ def damaged_streams(draw):
     for bit in draw(st.lists(st.one_of(st.integers(40, 127), anywhere), max_size=4)):
         stream[bit >> 3] ^= 0x80 >> (bit & 7)
     return bytes(stream[: draw(st.integers(0, len(stream)))])
+
+
+def self_pairing_stream(doublings: int, last: tuple[int, int], declared: int) -> bytes:
+    """Castore stream over {0, 1} whose records pair the newest word with itself.
+
+    Word 1 is "0"; record i (u, u) emits and adds a word of 2**i zeros, so the
+    records emit 2**(doublings + 1) - 2 symbols before the record ``last``.
+    """
+    writer = BitWriter()
+    size, word = 2, 1
+    for _ in range(doublings):
+        # an index field holds 0..size: ceil(log2(size + 1)) bits
+        writer.write(word, size.bit_length())
+        writer.write(word, size.bit_length())
+        size += 1
+        word = size
+    for index in last:
+        writer.write(index, size.bit_length())
+    return _pack_header(2, declared, "castore") + writer.getvalue()
+
+
+class TestOutputLimit:
+    def test_self_pairing_bomb_rejected_by_header(self):
+        # 40 doublings and a closing "00": 2**41 symbols from 65 bytes
+        stream = self_pairing_stream(40, (3, 0), 2**41)
+        assert len(stream) == 65
+        # the header alone refuses it, so no record is ever expanded
+        with pytest.raises(DecodeError, match="exceeds the limit"):
+            _unpack_header(stream)
+        with pytest.raises(DecodeError, match="exceeds the limit"):
+            decode(stream)
+
+    def test_one_past_the_limit_rejected(self):
+        # 23 doublings give 2**24 - 2 zeros, then "0" + "00" adds 3
+        stream = self_pairing_stream(23, (1, 3), MAX_SYMBOLS + 1)
+        with pytest.raises(DecodeError, match="exceeds the limit"):
+            _unpack_header(stream)
+
+    def test_stream_at_the_limit_decodes(self):
+        # 23 doublings give 2**24 - 2 zeros and a closing "00" ends the stream
+        assert MAX_SYMBOLS == 2**24
+        seq, algorithm = decode(self_pairing_stream(23, (3, 0), MAX_SYMBOLS))
+        assert algorithm == "castore"
+        assert seq.symbols.size == MAX_SYMBOLS
+        assert not seq.symbols.any()
+
+    @pytest.mark.parametrize("encoder", [lz78_encode, castore_encode])
+    def test_encoders_refuse_what_decode_would(self, encoder):
+        with pytest.raises(ValueError, match="stream limit"):
+            encoder(np.zeros(MAX_SYMBOLS + 1, dtype=np.int32), alphabet_size=2)
 
 
 class TestMalformedStreams:

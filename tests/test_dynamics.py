@@ -6,7 +6,10 @@ import pytest
 from epsent.dynamics import (
     MapSpec,
     NoiseSpec,
+    _lazy_bits,
+    _shift_state,
     apply_boundary,
+    apply_boundary_array,
     generate_orbit,
     iterate_map,
     map_branches,
@@ -109,7 +112,7 @@ class TestGenerateOrbit:
         noisy = generate_orbit(spec, 0.37, 200, NoiseSpec(sigma=0.0, mode=mode, seed=7))
         assert np.array_equal(base.points, noisy.points)
 
-    @pytest.mark.parametrize("kind", ["logistic", "doubling"])
+    @pytest.mark.parametrize("kind", ["logistic", "doubling", "tent"])
     def test_output_noise_rides_on_unperturbed_orbit(self, kind):
         spec = MapSpec(kind, 4.0)
         noise = NoiseSpec(sigma=0.05, mode="output", boundary="clamp", seed=11)
@@ -153,6 +156,56 @@ class TestGenerateOrbit:
         orbit = generate_orbit(MapSpec("tent"), 0.3, 10_000, NoiseSpec(seed=29))
         tail = orbit.points[100:]
         assert float(tail.std()) > 0.2
+
+
+def stepped_shift_orbit(kind: str, x0: float, length: int, noise: NoiseSpec) -> np.ndarray:
+    """Reference none/output orbit: one :func:`_shift_state` call per step."""
+    bits = _lazy_bits(noise, length).tolist()
+    state = min(int(x0 * 2.0**64), 2**64 - 1)
+    points = np.empty(length)
+    for n in range(length):
+        points[n] = state / 2.0**64
+        state = _shift_state(kind, state, bits[n])
+    if noise.effective_mode == "output":
+        points = apply_boundary_array(points + sample_noise(noise, length), noise.boundary)
+    return points
+
+
+def stepped_logistic_orbit(lam: float, x0: float, length: int, noise: NoiseSpec) -> np.ndarray:
+    """Reference dynamical-noise logistic orbit: one apply_boundary call per step."""
+    w = sample_noise(noise, length).tolist()
+    points = np.empty(length)
+    x = x0
+    for n in range(length):
+        points[n] = x
+        if n + 1 < length:
+            x = apply_boundary(lam * x * (1.0 - x) + w[n + 1], noise.boundary)
+    return points
+
+
+class TestExactOrbits:
+    @pytest.mark.parametrize("kind", ["doubling", "tent"])
+    @pytest.mark.parametrize("mode", ["none", "output"])
+    @pytest.mark.parametrize("x0", [0.0, 0.5, 1.0 - 2.0**-53, 1.0])
+    def test_windows_match_stepped_shift(self, kind, mode, x0):
+        spec = MapSpec(kind)
+        for length in (1, 2, 63, 64, 65, 66, 130, 3000):
+            for seed in range(25):
+                noise = NoiseSpec(sigma=0.05, mode=mode, seed=seed)
+                got = generate_orbit(spec, x0, length, noise).points
+                want = stepped_shift_orbit(kind, x0, length, noise)
+                assert got.tobytes() == want.tobytes(), (length, seed)
+
+    @pytest.mark.parametrize("boundary", ["clamp", "reflect"])
+    @pytest.mark.parametrize("sigma", [0.05, 0.4, 2.5])
+    def test_logistic_matches_stepped_boundary(self, boundary, sigma):
+        # sigma = 2.5 sends points up to 3.5 outside [0,1]: several folds
+        for lam in (4.0, 3.7):
+            for seed in range(5):
+                noise = NoiseSpec(sigma=sigma, mode="dynamical", boundary=boundary, seed=seed)
+                got = generate_orbit(MapSpec("logistic", lam), 0.3, 2000, noise).points
+                want = stepped_logistic_orbit(lam, 0.3, 2000, noise)
+                assert got.tobytes() == want.tobytes(), (lam, seed)
 
 
 class TestBoundaryPolicy:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -21,6 +22,22 @@ SMALL = RunConfig(
     p_samples=4000,
     workers=1,
 )
+
+TENT_SMALL = dataclasses.replace(SMALL, map="tent", noise_mode="output", algorithm="castore")
+
+# sha256 of each grid's CSV.  The other determinism tests compare runs with
+# each other, so only these catch a byte drift that every run shares; a
+# change that moves them changes the sweep's output and must say why.
+CSV_SHA256 = {
+    "logistic": "3a15c6e5bf388fb8e626101d7ff713c8364c143738d3b8d16935bac4650b5d27",
+    "tent": "799afc89d50dfdee5e25e8d36ed50fa3656bd8866bae623047ef63d5857a3ce3",
+}
+
+
+def csv_sha256(curves, tmp_path) -> str:
+    path = tmp_path / "grid.csv"
+    emit_csv(curves, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +128,12 @@ class TestRunGrid:
         emit_csv(small_curves, str(a))
         emit_csv(parallel, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_logistic_csv_bytes_pinned(self, small_curves, tmp_path):
+        assert csv_sha256(small_curves, tmp_path) == CSV_SHA256["logistic"]
+
+    def test_tent_output_castore_csv_bytes_pinned(self, tmp_path):
+        assert csv_sha256(run_grid(TENT_SMALL), tmp_path) == CSV_SHA256["tent"]
 
     def test_input_order_does_not_matter(self, small_curves, tmp_path):
         shuffled = dataclasses.replace(SMALL, sigma=(0.01, 0.1), n_list=(8, 2, 4))
