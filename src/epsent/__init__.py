@@ -7,17 +7,7 @@ the noise amplitude off the rate-versus-scale curve.
 """
 
 from .bounds import BoundSet, dynamical_noise_upper, envelope, kifer_lower, output_noise_upper
-from .compressor import (
-    CompressionReport,
-    ComplexityRate,
-    DecodeError,
-    castore_decode,
-    castore_encode,
-    complexity_rate,
-    decode,
-    lz78_decode,
-    lz78_encode,
-)
+from .compressor import CompressionReport, DecodeError, castore_encode, decode, lz78_encode
 from .config import DEFAULT_CELLS, DEFAULT_SIGMAS, ConfigError, RunConfig, load_config
 from .dynamics import (
     MapSpec,
@@ -36,7 +26,6 @@ from .estimators import (
     choose_n0,
     conditional_entropy,
     estimate_p,
-    partition_entropy,
 )
 from .partition import (
     CylinderSet,

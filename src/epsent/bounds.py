@@ -105,7 +105,7 @@ def kifer_lower(eps: float, density_bound: float) -> float:
 
 @dataclass(frozen=True)
 class BoundSet:
-    """Every analytic bound for one (sigma, eps) cell, plus the inputs."""
+    """Every analytic bound for one (sigma, eps) cell."""
 
     pure_noise_line: float
     kifer_lower: float
@@ -113,7 +113,6 @@ class BoundSet:
     dynamical_upper: float
     envelope_low: float
     envelope_high: float
-    inputs_echo: tuple[float, float, float, float, float, float, float]
 
 
 def envelope(
@@ -147,5 +146,4 @@ def envelope(
         dynamical_upper=dyn_up,
         envelope_low=low,
         envelope_high=high,
-        inputs_echo=(h_eps, p, sigma, eps, eps_n0, delta, density_bound),
     )

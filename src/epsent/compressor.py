@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,21 +47,16 @@ HEADER_BYTES = 16
 HEADER_BITS = HEADER_BYTES * 8
 MAX_ALPHABET = 0xFFFF  # the header stores the alphabet size as u16
 # longest sequence a stream may hold: a castore record can double the output,
-# so a short forged stream would otherwise declare and expand to any length
+# so a short forged stream would otherwise declare and expand to any length.
+# It also bounds both dictionaries: each lz78 phrase and each new castore trie
+# node consumes an input symbol, so neither holds more than n + N entries.
 MAX_SYMBOLS = 1 << 24
-_ALGO_IDS = {"lz78": 0, "castore": 1}
-_ALGO_NAMES = {v: k for k, v in _ALGO_IDS.items()}
-ALGORITHMS = tuple(_ALGO_IDS)
-
-NODE_CAP = 10**8
+# the header's algorithm id is the index into this tuple
+ALGORITHMS = ("lz78", "castore")
 
 
 class DecodeError(ValueError):
     """Malformed or truncated compressed stream."""
-
-
-class DictionaryLimitError(RuntimeError):
-    """Dictionary grew past the configured node cap."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,7 @@ class BitReader:
 
 def _pack_header(alphabet_size: int, input_len: int, algorithm: str) -> bytes:
     return struct.pack(
-        "<4sBHQB", MAGIC, VERSION, alphabet_size, input_len, _ALGO_IDS[algorithm]
+        "<4sBHQB", MAGIC, VERSION, alphabet_size, input_len, ALGORITHMS.index(algorithm)
     )
 
 
@@ -194,9 +190,9 @@ def _unpack_header(data: bytes) -> tuple[int, int, str]:
         raise DecodeError(f"alphabet size {alphabet_size} invalid at byte 5")
     if input_len > MAX_SYMBOLS:
         raise DecodeError(f"symbol count {input_len} at byte 7 exceeds the limit of {MAX_SYMBOLS}")
-    if algo_id not in _ALGO_NAMES:
+    if algo_id >= len(ALGORITHMS):
         raise DecodeError(f"unknown algorithm id {algo_id} at byte 15")
-    return alphabet_size, input_len, _ALGO_NAMES[algo_id]
+    return alphabet_size, input_len, ALGORITHMS[algo_id]
 
 
 def _as_symbols(seq: SymbolicSequence | Sequence[int] | np.ndarray, alphabet_size: int | None) -> tuple[np.ndarray, int]:
@@ -205,13 +201,31 @@ def _as_symbols(seq: SymbolicSequence | Sequence[int] | np.ndarray, alphabet_siz
     else:
         symbols = np.asarray(seq, dtype=np.int32)
         if alphabet_size is None:
-            alphabet_size = int(symbols.max()) + 1 if symbols.size else 2
-        alphabet_size = max(alphabet_size, 2)
-        if symbols.size and (int(symbols.min()) < 0 or int(symbols.max()) >= alphabet_size):
-            raise ValueError("symbols outside alphabet range")
+            alphabet_size = max(int(symbols.max()) + 1 if symbols.size else 2, 2)
+    if not 2 <= alphabet_size <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size {alphabet_size} outside [2, {MAX_ALPHABET}]")
     if symbols.size > MAX_SYMBOLS:
         raise ValueError(f"{symbols.size} symbols exceed the stream limit of {MAX_SYMBOLS}")
+    if symbols.size and (int(symbols.min()) < 0 or int(symbols.max()) >= alphabet_size):
+        raise ValueError("symbols outside alphabet range")
     return symbols, alphabet_size
+
+
+def _finish(
+    writer: BitWriter, nsym: int, symbols: np.ndarray, algorithm: str, phrase_count: int
+) -> tuple[bytes, CompressionReport]:
+    """The stream (header + records) and the report of one encode."""
+    stream = _pack_header(nsym, symbols.size, algorithm) + writer.getvalue()
+    encoded_bits = HEADER_BITS + writer.bits_written
+    report = CompressionReport(
+        input_len=int(symbols.size),
+        phrase_count=phrase_count,
+        encoded_bits=encoded_bits,
+        rate=encoded_bits / symbols.size if symbols.size else 0.0,
+        algorithm=algorithm,
+        content_hash=content_hash(symbols),
+    )
+    return stream, report
 
 
 def _phase_in(x: int, n: int) -> tuple[int, int]:
@@ -224,7 +238,6 @@ def _phase_in(x: int, n: int) -> tuple[int, int]:
 def lz78_encode(
     seq: SymbolicSequence | Sequence[int] | np.ndarray,
     alphabet_size: int | None = None,
-    node_cap: int = NODE_CAP,
 ) -> tuple[bytes, CompressionReport]:
     """Incremental-parse encode; returns the bitstream and its report."""
     symbols, nsym = _as_symbols(seq, alphabet_size)
@@ -261,8 +274,6 @@ def lz78_encode(
             writer.write((code << sb) | rank, nbits + sb)
         else:
             writer.write((code << (sb + 1)) | (rank + su), nbits + sb + 1)
-        if next_phrase > node_cap:
-            raise DictionaryLimitError(f"dictionary exceeded {node_cap} nodes")
         used[node] = mask | (1 << s)
         used.append(0)
         trie[(node, s)] = next_phrase
@@ -276,41 +287,25 @@ def lz78_encode(
     if node != 0:
         writer.write(*_phase_in(node, next_phrase))
         phrase_count += 1
-
-    stream = _pack_header(nsym, symbols.size, "lz78") + writer.getvalue()
-    encoded_bits = HEADER_BITS + writer.bits_written
-    rate = encoded_bits / symbols.size if symbols.size else 0.0
-    report = CompressionReport(
-        input_len=int(symbols.size),
-        phrase_count=phrase_count,
-        encoded_bits=encoded_bits,
-        rate=rate,
-        algorithm="lz78",
-        content_hash=content_hash(symbols),
-    )
-    return stream, report
+    return _finish(writer, nsym, symbols, "lz78", phrase_count)
 
 
 def _lz78_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> np.ndarray:
-    out: list[int] = []
-    parents = [0]
-    extensions = [0]
+    out = array("i")
+    # phrase k was emitted as out[starts[k] : starts[k] + lengths[k]]; 0 is empty
+    starts = [0]
+    lengths = [0]
     used = [0]
 
     decoded = 0
     k = 1
     while decoded < input_len:
         parent = reader.read_phase_in(k)
-        chain = []
-        phrase = parent
-        while phrase:
-            chain.append(extensions[phrase])
-            phrase = parents[phrase]
-        chain.reverse()
-        if decoded + len(chain) >= input_len:
-            if decoded + len(chain) > input_len:
+        start, length = starts[parent], lengths[parent]
+        if decoded + length >= input_len:
+            if decoded + length > input_len:
                 raise DecodeError(f"final phrase overruns declared length {input_len}")
-            out += chain
+            out.extend(out[start : start + length])
             break
         mask = used[parent]
         free = alphabet_size - mask.bit_count()
@@ -326,15 +321,15 @@ def _lz78_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> 
                 if t == s:
                     break
                 s = t
-        out += chain
+        out.extend(out[start : start + length])
         out.append(s)
-        decoded += len(chain) + 1
+        starts.append(decoded)
+        lengths.append(length + 1)
+        decoded += length + 1
         used[parent] = mask | (1 << s)
         used.append(0)
-        parents.append(parent)
-        extensions.append(s)
         k += 1
-    return np.array(out, dtype=np.int32)
+    return np.frombuffer(out, dtype=np.int32)
 
 
 def _castore_match(
@@ -364,7 +359,6 @@ def _castore_match(
 def castore_encode(
     seq: SymbolicSequence | Sequence[int] | np.ndarray,
     alphabet_size: int | None = None,
-    node_cap: int = NODE_CAP,
 ) -> tuple[bytes, CompressionReport]:
     """Pair-concatenation encode; returns the bitstream and its report."""
     symbols, nsym = _as_symbols(seq, alphabet_size)
@@ -401,8 +395,6 @@ def castore_encode(
             key = (node, syms[j])
             child = trie.get(key)
             if child is None:
-                if next_node > node_cap:
-                    raise DictionaryLimitError(f"dictionary exceeded {node_cap} nodes")
                 trie[key] = next_node
                 child = next_node
                 next_node += 1
@@ -410,42 +402,24 @@ def castore_encode(
         dict_size += 1
         node_word[node] = dict_size
         pos += lu + lv
-
-    stream = _pack_header(nsym, symbols.size, "castore") + writer.getvalue()
-    encoded_bits = HEADER_BITS + writer.bits_written
-    rate = encoded_bits / symbols.size if symbols.size else 0.0
-    report = CompressionReport(
-        input_len=int(symbols.size),
-        phrase_count=phrase_count,
-        encoded_bits=encoded_bits,
-        rate=rate,
-        algorithm="castore",
-        content_hash=content_hash(symbols),
-    )
-    return stream, report
+    return _finish(writer, nsym, symbols, "castore", phrase_count)
 
 
 def _castore_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> np.ndarray:
     # grown as the records arrive: the declared length is not trusted
-    out: list[int] = []
-    # word id -> (left id, right id) with single symbols as (-(s+1), 0)
-    pairs: list[tuple[int, int]] = [(0, 0)]
-    lengths = [0]
-    for s in range(alphabet_size):
-        pairs.append((-(s + 1), 0))
-        lengths.append(1)
+    out = array("i")
+    # words 1..N are the single symbols; word w > N was emitted as
+    # out[starts[w] : starts[w] + lengths[w]]
+    starts = [0] * (alphabet_size + 1)
+    lengths = [1] * (alphabet_size + 1)
     dict_size = alphabet_size
 
     def emit(word: int) -> None:
-        stack = [word]
-        while stack:
-            left, right = pairs[stack.pop()]
-            if left < 0:
-                out.append(-left - 1)
-            else:
-                if right:
-                    stack.append(right)
-                stack.append(left)
+        if word <= alphabet_size:
+            out.append(word - 1)
+        else:
+            start = starts[word]
+            out.extend(out[start : start + lengths[word]])
 
     decoded = 0
     while decoded < input_len:
@@ -466,11 +440,11 @@ def _castore_decode_body(reader: BitReader, alphabet_size: int, input_len: int) 
             raise DecodeError(f"phrase overruns declared length {input_len}")
         emit(u)
         emit(v)
-        decoded += n
-        pairs.append((u, v))
+        starts.append(decoded)
         lengths.append(n)
+        decoded += n
         dict_size += 1
-    return np.array(out, dtype=np.int32)
+    return np.frombuffer(out, dtype=np.int32)
 
 
 def decode(stream: bytes) -> tuple[SymbolicSequence, str]:
@@ -485,58 +459,3 @@ def decode(stream: bytes) -> tuple[SymbolicSequence, str]:
         raise DecodeError("trailing data after final phrase")
     return SymbolicSequence(symbols=symbols, alphabet_size=alphabet_size), algorithm
 
-
-def lz78_decode(stream: bytes) -> SymbolicSequence:
-    seq, algorithm = decode(stream)
-    if algorithm != "lz78":
-        raise DecodeError(f"stream was encoded with {algorithm}, not lz78")
-    return seq
-
-
-def castore_decode(stream: bytes) -> SymbolicSequence:
-    seq, algorithm = decode(stream)
-    if algorithm != "castore":
-        raise DecodeError(f"stream was encoded with {algorithm}, not castore")
-    return seq
-
-
-@dataclass(frozen=True)
-class ComplexityRate:
-    """Compression rate of a sequence plus its prefix-convergence curve."""
-
-    rate: float
-    report: CompressionReport
-    prefix_rates: tuple[tuple[int, float], ...]
-
-
-def complexity_rate(
-    seq: SymbolicSequence | Sequence[int] | np.ndarray,
-    algorithm: str = "lz78",
-    alphabet_size: int | None = None,
-    curve_points: int = 12,
-) -> ComplexityRate:
-    """Bits per symbol under the chosen coder, with log-spaced prefix rates."""
-    symbols, nsym = _as_symbols(seq, alphabet_size)
-    if symbols.size == 0:
-        raise ValueError("cannot rate an empty sequence")
-    encoder = lz78_encode if algorithm == "lz78" else castore_encode
-    if algorithm not in _ALGO_IDS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
-    _, full = encoder(symbols, nsym)
-    lengths = sorted(
-        {
-            max(1, int(round(symbols.size ** (i / (curve_points - 1)))))
-            for i in range(curve_points)
-        }
-        if curve_points > 1
-        else {symbols.size}
-    )
-    curve = []
-    for ln in lengths:
-        if ln == symbols.size:
-            curve.append((ln, full.rate))
-        else:
-            _, rep = encoder(symbols[:ln], nsym)
-            curve.append((ln, rep.rate))
-    return ComplexityRate(rate=full.rate, report=full, prefix_rates=tuple(curve))

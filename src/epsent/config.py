@@ -15,6 +15,7 @@ from typing import Any, Mapping
 
 from .compressor import ALGORITHMS, MAX_ALPHABET, MAX_SYMBOLS
 from .dynamics import BOUNDARIES, MAP_KINDS, NOISE_MODES
+from .partition import MAX_WORD_SPACE
 
 DEFAULT_SEED = 0x5EEDC0DE
 DEFAULT_CELLS = (2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 125, 250)
@@ -89,8 +90,14 @@ class RunConfig:
             raise ConfigError(f"p_samples: must be >= 1, got {self.p_samples}")
         if self.delta <= 0.0:
             raise ConfigError(f"delta: must be > 0, got {self.delta}")
-        if self.max_block is not None and self.max_block < 2:
-            raise ConfigError(f"max_block: must be >= 2, got {self.max_block}")
+        if self.max_block is not None:
+            if self.max_block < 2:
+                raise ConfigError(f"max_block: must be >= 2, got {self.max_block}")
+            if max(self.n_list) ** self.max_block > MAX_WORD_SPACE:
+                raise ConfigError(
+                    f"max_block: {max(self.n_list)}^{self.max_block} words exceed "
+                    f"the {MAX_WORD_SPACE} that block counts can index"
+                )
         return self
 
 

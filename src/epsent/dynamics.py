@@ -83,9 +83,6 @@ class RealOrbit:
     """A finite orbit; a pure function of (map, noise incl. seed, x0, length)."""
 
     points: np.ndarray
-    map: MapSpec
-    noise: NoiseSpec
-    x0: float
 
     def __len__(self) -> int:
         return len(self.points)
@@ -298,7 +295,7 @@ def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> R
 
     if mode == "output":
         points = apply_boundary_array(points + w, policy)
-    return RealOrbit(points=points, map=spec, noise=noise, x0=x0)
+    return RealOrbit(points=points)
 
 
 def sample_invariant_orbit(
@@ -317,8 +314,7 @@ def sample_invariant_orbit(
     rng = np.random.default_rng(mix(noise.seed, INIT_STREAM))
     x0 = float(rng.uniform(0.0, 1.0))
     full = generate_orbit(spec, x0, burn_in + length, noise)
-    pts = full.points[burn_in:]
-    return RealOrbit(points=pts, map=spec, noise=noise, x0=float(pts[0]))
+    return RealOrbit(points=full.points[burn_in:])
 
 
 def dump_orbit(orbit: RealOrbit, path: str) -> None:

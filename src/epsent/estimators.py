@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,25 +24,6 @@ from .dynamics import (
 )
 from .partition import Partition, SymbolicSequence, word_counts
 from .seeds import PROBE_NOISE_STREAM, PROBE_ORBIT_STREAM, mix
-
-_NORMALIZATION_TOL = 1e-9
-
-
-def partition_entropy(freqs: Mapping[object, float] | Iterable[float]) -> float:
-    """Shannon entropy -sum(p * log2 p) of a normalized frequency table."""
-    if isinstance(freqs, Mapping):
-        p = np.asarray(list(freqs.values()), dtype=float)
-    else:
-        p = np.asarray(list(freqs), dtype=float)
-    if p.size == 0:
-        raise ValueError("empty frequency table")
-    if p.min() < 0.0:
-        raise ValueError("negative frequency")
-    total = p.sum()
-    if abs(total - 1.0) > _NORMALIZATION_TOL:
-        raise ValueError(f"frequencies sum to {total}, not 1")
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
 
 
 def _entropy_from_counts(counts: np.ndarray, miller_madow: bool = False) -> float:

@@ -19,6 +19,8 @@ from .dynamics import MapSpec, RealOrbit, map_branches
 
 _WIDTH_TOL = 1e-14
 _TOUCH_TOL = 1e-12
+# largest number of distinct words that int64 window ids may index
+MAX_WORD_SPACE = 2**62
 
 
 class ResourceLimitError(RuntimeError):
@@ -148,14 +150,6 @@ def refine_cylinders(
     return CylinderSet(depth=n, intervals=merged, min_diameter=min_diam)
 
 
-def dump_cylinders(cyls: CylinderSet, path: str) -> None:
-    """Debug dump: CSV with columns left,right,word (word as digit string)."""
-    with open(path, "w") as fh:
-        fh.write("left,right,word\n")
-        for lo, hi, word in cyls.intervals:
-            fh.write(f"{lo:.17g},{hi:.17g},{'-'.join(map(str, word))}\n")
-
-
 def sliding_word_ids(symbols: np.ndarray, block_len: int, alphabet_size: int) -> np.ndarray:
     """Integer id of every length-``block_len`` window, base ``alphabet_size``."""
     length = symbols.size
@@ -163,7 +157,7 @@ def sliding_word_ids(symbols: np.ndarray, block_len: int, alphabet_size: int) ->
         raise ValueError(f"block length must be >= 1, got {block_len}")
     if length < block_len:
         raise ValueError(f"sequence of length {length} has no {block_len}-blocks")
-    if alphabet_size**block_len > 2**62:
+    if alphabet_size**block_len > MAX_WORD_SPACE:
         raise ResourceLimitError(
             f"word space {alphabet_size}^{block_len} too large to index"
         )

@@ -90,9 +90,6 @@ class EntropyCurve:
     sigma: float
     points: list[CurvePoint]
     orbit_len: int
-    map: MapSpec
-    noise_mode: str
-    master_seed: int
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,9 @@ def _sorted_grid(config: RunConfig) -> tuple[tuple[float, ...], tuple[int, ...]]
     )
 
 
-def companion_stats(config: RunConfig, spec: MapSpec | None = None) -> list[CompanionStats]:
+def companion_stats(config: RunConfig) -> list[CompanionStats]:
     """Noise-free run of the configured system, summarized per partition."""
-    spec = spec or MapSpec(config.map, config.lam)
+    spec = MapSpec(config.map, config.lam)
     _, cells = _sorted_grid(config)
     noise0 = NoiseSpec(
         sigma=0.0, mode="none", boundary=config.boundary, seed=companion_seed(config.seed)
@@ -202,9 +199,8 @@ def _cell_task(
 def run_grid(config: RunConfig) -> list[EntropyCurve]:
     """Run the full grid and return one curve per sigma, largest sigma first."""
     config = config.validate()
-    spec = MapSpec(config.map, config.lam)
     sigmas, cells = _sorted_grid(config)
-    comps = companion_stats(config, spec)
+    comps = companion_stats(config)
 
     tasks = [
         (config, sigma, n, si, ei, comps[ei])
@@ -221,16 +217,7 @@ def run_grid(config: RunConfig) -> list[EntropyCurve]:
     per_sigma = len(cells)
     for si, sigma in enumerate(sigmas):
         points = sorted(results[si * per_sigma : (si + 1) * per_sigma], key=lambda p: -p.eps)
-        curves.append(
-            EntropyCurve(
-                sigma=sigma,
-                points=points,
-                orbit_len=config.length,
-                map=spec,
-                noise_mode=config.noise_mode,
-                master_seed=config.seed,
-            )
-        )
+        curves.append(EntropyCurve(sigma=sigma, points=points, orbit_len=config.length))
     return curves
 
 

@@ -139,10 +139,6 @@ class TestEnvelope:
         assert bs.envelope_low == bs.kifer_lower
         assert bs.kifer_lower == pytest.approx(math.log2(100.0) - math.log2(25.0))
 
-    def test_inputs_echo_order(self):
-        bs = envelope(1.1, 0.02, 0.3, 0.05, 0.04, 0.01, 10.0)
-        assert bs.inputs_echo == (1.1, 0.3, 0.05, 0.04, 0.01, 0.02, 10.0)
-
     def test_envelope_consistent_on_experiment_domain(self):
         # h near 1 bit, sigma <= 0.5: the lower edge must not cross the upper
         for sigma in (0.5, 0.1, 0.02, 0.01, 0.001):

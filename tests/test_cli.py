@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epsent
 from epsent import cli, sweep
 from epsent.cli import dispatch
 from epsent.config import SCHEMA, ConfigError, RunConfig, load_config
@@ -101,6 +105,10 @@ class TestConfigLoading:
             RunConfig(n_list=(2, 70_000)).validate()
         with pytest.raises(ConfigError, match="length"):
             RunConfig(length=2**24 + 1).validate()
+        # block counts index 250^8 words with int64 ids: more than 2^62
+        with pytest.raises(ConfigError, match="max_block"):
+            RunConfig(n_list=(2, 250), max_block=8).validate()
+        RunConfig(n_list=(2, 250), max_block=7).validate()
 
 
 class TestConfigSchema:
@@ -180,6 +188,16 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "n_list" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    def test_max_block_beyond_word_space_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        code = dispatch(
+            ["sweep", "--max-block", "9", "--cells", "2", "--cells", "250",
+             "--length", "200000", "--out-csv", str(csv_path)]
+        )
+        assert code == 2
+        assert "max_block" in capsys.readouterr().err
         assert not csv_path.exists()
 
     def test_failing_cell_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
@@ -282,6 +300,14 @@ class TestCompressionCommands:
         assert dispatch(["decompress", str(bad), str(out)]) == 1
         assert "magic" in capsys.readouterr().err
 
+    def test_alphabet_beyond_stream_header_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("0 1 2 1 0")
+        packed = tmp_path / "out.bin"
+        assert dispatch(["compress", "--cells", "70000", str(src), str(packed)]) == 1
+        assert "alphabet size 70000 outside [2, 65535]" in capsys.readouterr().err
+        assert not packed.exists()
+
     def test_missing_input_exits_1(self, tmp_path):
         assert dispatch(["compress", "--cells", "2", str(tmp_path / "nope.txt"), str(tmp_path / "o")]) == 1
 
@@ -318,3 +344,20 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "checks passed" in out
+
+    def test_oracles_still_check_under_optimize(self):
+        # python -O strips assert statements; the oracles must fail anyway
+        script = (
+            "import sys\n"
+            "from epsent import bounds, cli\n"
+            "bounds.output_noise_upper = lambda *args: 0.0\n"
+            "sys.exit(cli.dispatch(['selftest']))\n"
+        )
+        src = str(Path(epsent.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=300, env={"PYTHONPATH": src},
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "bound arithmetic" in proc.stdout
+        assert "11/12 checks passed" in proc.stdout

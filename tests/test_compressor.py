@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 
 from epsent.compressor import (
     HEADER_BITS,
+    MAX_ALPHABET,
     MAX_SYMBOLS,
     BitReader,
     BitWriter,
     DecodeError,
     _pack_header,
     _unpack_header,
-    castore_decode,
     castore_encode,
-    complexity_rate,
     content_hash,
     decode,
-    lz78_decode,
     lz78_encode,
 )
 
@@ -101,13 +99,22 @@ class TestLz78HandParses:
 class TestRoundTrips:
     def test_simple(self):
         stream, _ = lz78_encode([0, 1, 1, 0], alphabet_size=2)
-        assert lz78_decode(stream).symbols.tolist() == [0, 1, 1, 0]
+        out, algorithm = decode(stream)
+        assert algorithm == "lz78"
+        assert out.symbols.tolist() == [0, 1, 1, 0]
+        assert out.symbols.dtype == np.int32
+        stream, _ = castore_encode([0, 1, 0], alphabet_size=2)
+        out, algorithm = decode(stream)
+        assert algorithm == "castore"
+        assert out.symbols.tolist() == [0, 1, 0]
+        assert out.symbols.dtype == np.int32
 
     def test_large_alphabet(self):
         rng = np.random.default_rng(0)
         symbols = rng.integers(0, 16, size=100_000, dtype=np.int32)
         stream, rep = lz78_encode(symbols, alphabet_size=16)
-        out = lz78_decode(stream)
+        out, algorithm = decode(stream)
+        assert algorithm == "lz78"
         assert np.array_equal(out.symbols, symbols)
         assert content_hash(out.symbols) == rep.content_hash
 
@@ -135,12 +142,6 @@ class TestRoundTrips:
             stream, _ = enc(symbols, alphabet_size=n)
             out, _ = decode(stream)
             assert out.symbols.tolist() == symbols
-
-    def test_algorithm_specific_decoders(self):
-        stream, _ = castore_encode([0, 1, 0], alphabet_size=2)
-        assert castore_decode(stream).symbols.tolist() == [0, 1, 0]
-        with pytest.raises(DecodeError):
-            lz78_decode(stream)
 
 
 @st.composite
@@ -205,6 +206,13 @@ class TestOutputLimit:
     def test_encoders_refuse_what_decode_would(self, encoder):
         with pytest.raises(ValueError, match="stream limit"):
             encoder(np.zeros(MAX_SYMBOLS + 1, dtype=np.int32), alphabet_size=2)
+
+    @pytest.mark.parametrize("encoder", [lz78_encode, castore_encode])
+    @pytest.mark.parametrize("alphabet_size", [1, 0, MAX_ALPHABET + 1, 70_000])
+    def test_encoders_refuse_an_alphabet_the_header_cannot_hold(self, encoder, alphabet_size):
+        # the header's u16 field holds [2, 65535]; refused before the parse
+        with pytest.raises(ValueError, match=f"outside \\[2, {MAX_ALPHABET}\\]"):
+            encoder(np.zeros(300_000, dtype=np.int32), alphabet_size=alphabet_size)
 
 
 class TestMalformedStreams:
@@ -333,28 +341,3 @@ class TestDeskScaleRates:
         _, rep = castore_encode(symbols, alphabet_size=2)
         assert 1.25 <= rep.rate <= 1.55
 
-
-class TestComplexityRate:
-    def test_curve_converges_to_full_rate(self):
-        rng = np.random.default_rng(7)
-        symbols = rng.integers(0, 2, size=50_000, dtype=np.int32)
-        result = complexity_rate(symbols, "lz78", alphabet_size=2)
-        lengths = [ln for ln, _ in result.prefix_rates]
-        assert lengths == sorted(set(lengths))
-        assert lengths[-1] == 50_000
-        assert result.prefix_rates[-1][1] == result.rate
-
-    def test_constant_sequence_rate_vanishes(self):
-        result = complexity_rate(np.zeros(1_000_000, dtype=np.int32), "lz78", alphabet_size=2)
-        assert result.rate < 0.02
-        # prefix rates should decrease as the dictionary amortizes
-        rates = [r for _, r in result.prefix_rates[2:]]
-        assert rates == sorted(rates, reverse=True)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            complexity_rate([], "lz78", alphabet_size=2)
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            complexity_rate([0, 1], "zip", alphabet_size=2)

@@ -12,7 +12,6 @@ from epsent.estimators import (
     conditional_entropy,
     default_max_block,
     estimate_p,
-    partition_entropy,
 )
 from epsent.partition import Partition, SymbolicSequence, encode
 
@@ -25,25 +24,6 @@ def iid_bits(n: int, seed: int = 0) -> SymbolicSequence:
 def periodic(n: int) -> SymbolicSequence:
     # odd length keeps sliding-window counts of the two words exactly equal
     return SymbolicSequence(np.tile([0, 1], n // 2)[:-1], 2)
-
-
-class TestPartitionEntropy:
-    def test_fair_coin(self):
-        assert partition_entropy([0.5, 0.5]) == pytest.approx(1.0)
-
-    def test_degenerate(self):
-        assert partition_entropy([1.0]) == 0.0
-
-    def test_uniform_four(self):
-        assert partition_entropy({(0,): 0.25, (1,): 0.25, (2,): 0.25, (3,): 0.25}) == pytest.approx(2.0)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            partition_entropy([0.5, 0.6])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            partition_entropy([1.2, -0.2])
 
 
 class TestBlockEntropyRate:

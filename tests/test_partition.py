@@ -109,19 +109,6 @@ class TestRefineCylinders:
         with pytest.raises(ValueError):
             refine_cylinders(MapSpec("doubling"), Partition(2), 0)
 
-    def test_dump_format(self, tmp_path):
-        from epsent.partition import dump_cylinders
-
-        cyl = refine_cylinders(MapSpec("doubling"), Partition(2), 2)
-        path = tmp_path / "cyl.csv"
-        dump_cylinders(cyl, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "left,right,word"
-        assert len(lines) == 5
-        left, right, word = lines[1].split(",")
-        assert float(left) == 0.0 and float(right) == 0.25
-        assert word == "0-0"
-
 
 class TestNoisyWordInclusion:
     def test_unperturbed_words_survive_small_noise(self):
