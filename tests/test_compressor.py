@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsent.compressor import (
+    ALGORITHMS,
     HEADER_BITS,
     MAX_ALPHABET,
     MAX_SYMBOLS,
@@ -103,11 +104,6 @@ class TestRoundTrips:
         assert algorithm == "lz78"
         assert out.symbols.tolist() == [0, 1, 1, 0]
         assert out.symbols.dtype == np.int32
-        stream, _ = castore_encode([0, 1, 0], alphabet_size=2)
-        out, algorithm = decode(stream)
-        assert algorithm == "castore"
-        assert out.symbols.tolist() == [0, 1, 0]
-        assert out.symbols.dtype == np.int32
 
     def test_large_alphabet(self):
         rng = np.random.default_rng(0)
@@ -142,6 +138,17 @@ class TestRoundTrips:
             stream, _ = enc(symbols, alphabet_size=n)
             out, _ = decode(stream)
             assert out.symbols.tolist() == symbols
+
+    def test_algorithm_specific_decoders(self):
+        stream, _ = castore_encode([0, 1, 0], alphabet_size=2)
+        out, algorithm = decode(stream)
+        assert algorithm == "castore"
+        assert out.symbols.tolist() == [0, 1, 0]
+        assert out.symbols.dtype == np.int32
+        # the same records read by the lz78 decoder (algorithm id at byte 15)
+        relabelled = stream[:15] + bytes([ALGORITHMS.index("lz78")]) + stream[16:]
+        with pytest.raises(DecodeError):
+            decode(relabelled)
 
 
 @st.composite
