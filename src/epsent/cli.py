@@ -15,6 +15,7 @@ import argparse
 import csv
 import math
 import sys
+from array import array
 from collections import defaultdict
 
 import numpy as np
@@ -106,12 +107,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# characters of a symbol file parsed, or symbols of one written, per step
+_TEXT_CHUNK = 1 << 18
+
+
+def _read_symbols(path: str) -> np.ndarray:
+    """Whitespace-separated integers as int32, without an object per symbol."""
+    out = array("i")
+    tail = ""
+    with open(path) as fh:
+        while chunk := fh.read(_TEXT_CHUNK):
+            tokens = (tail + chunk).split()
+            # the last token may go on in the next chunk
+            tail = "" if chunk[-1].isspace() else tokens.pop()
+            _extend_symbols(out, tokens)
+    _extend_symbols(out, tail.split())
+    return np.frombuffer(out, dtype=np.int32)
+
+
+def _extend_symbols(out: array, tokens: list[str]) -> None:
+    try:
+        out.extend(map(int, tokens))
+    except OverflowError:
+        bad = next(tok for tok in tokens if not -(2**31) <= int(tok) < 2**31)
+        raise ValueError(f"symbol {bad} out of bounds for int32") from None
+
+
 def _cmd_compress(args: argparse.Namespace) -> int:
-    with open(args.input) as fh:
-        symbols = [int(tok) for tok in fh.read().split()]
-    arr = np.asarray(symbols, dtype=np.int32)
+    symbols = _read_symbols(args.input)
     encoder = compressor.lz78_encode if args.algorithm == "lz78" else compressor.castore_encode
-    stream, report = encoder(arr, alphabet_size=args.cells)
+    stream, report = encoder(symbols, alphabet_size=args.cells)
     with open(args.output, "wb") as fh:
         fh.write(stream)
     print(
@@ -126,9 +151,11 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         stream = fh.read()
     seq, algorithm = compressor.decode(stream)
+    lines = [f"{s}\n" for s in range(seq.alphabet_size)]
     with open(args.output, "w") as fh:
-        for s in seq.symbols.tolist():
-            fh.write(f"{s}\n")
+        for start in range(0, len(seq), _TEXT_CHUNK):
+            block = seq.symbols[start : start + _TEXT_CHUNK].tolist()
+            fh.write("".join([lines[s] for s in block]))
     print(f"{algorithm}: recovered {len(seq)} symbols", file=sys.stderr)
     return EXIT_OK
 

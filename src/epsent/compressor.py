@@ -83,33 +83,45 @@ def _bit_width(k: int) -> int:
 
 
 class BitWriter:
-    """Accumulates big-endian-within-byte bit fields."""
+    """Collects big-endian-within-byte bit fields of up to 64 bits each.
+
+    Fields are stored as two typed arrays, ``values`` and ``widths``, which
+    the encoders append to directly; :meth:`getvalue` packs them all at once.
+    """
 
     def __init__(self) -> None:
-        self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-        self.bits_written = 0
+        self.values = array("Q")
+        self.widths = array("B")
 
     def write(self, value: int, nbits: int) -> None:
+        if not 0 <= nbits <= 64:
+            raise ValueError(f"field width {nbits} outside [0, 64]")
         if value >> nbits:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | value
-        self._nbits += nbits
-        self.bits_written += nbits
-        if self._nbits >= 64:
-            # flush whole bytes; fewer than 8 bits stay in the accumulator
-            keep = self._nbits & 7
-            self._out += (self._acc >> keep).to_bytes(self._nbits >> 3, "big")
-            self._acc &= (1 << keep) - 1
-            self._nbits = keep
+        self.values.append(value)
+        self.widths.append(nbits)
+
+    @property
+    def bits_written(self) -> int:
+        return sum(self.widths)
 
     def getvalue(self) -> bytes:
-        whole, keep = divmod(self._nbits, 8)
-        out = bytes(self._out) + (self._acc >> keep).to_bytes(whole, "big")
-        if keep:
-            out += bytes([(self._acc << (8 - keep)) & 0xFF])
-        return out
+        """The fields in order, zero-padded to a byte boundary."""
+        widths = np.frombuffer(self.widths, dtype=np.uint8).astype(np.int64)
+        values = np.frombuffer(self.values, dtype=np.uint64)
+        ends = np.cumsum(widths)
+        total = int(ends[-1]) if ends.size else 0
+        # words[k] holds stream bits 64(k-1) .. 64k-1, big-endian; words[0] is
+        # spare, for the 0 of a zero-width field at bit 0.  A field's last bit
+        # lands in words[word], `shift` bits above its least significant bit
+        shift = -ends & 63
+        word = (ends + shift) >> 6
+        words = np.zeros(((total + 63) >> 6) + 1, dtype=np.uint64)
+        np.add.at(words, word, values << shift.astype(np.uint64))
+        # the high bits of a field that starts in the word before
+        spill = widths > 64 - shift
+        np.add.at(words, word[spill] - 1, values[spill] >> (64 - shift[spill]).astype(np.uint64))
+        return words[1:].astype(">u8").tobytes()[: (total + 7) >> 3]
 
 
 class BitReader:
@@ -242,19 +254,24 @@ def lz78_encode(
     """Incremental-parse encode; returns the bitstream and its report."""
     symbols, nsym = _as_symbols(seq, alphabet_size)
     writer = BitWriter()
+    put_value = writer.values.append
+    put_width = writer.widths.append
     # phase-in code over all nsym symbols, for parents with no child yet
     fresh_b = nsym.bit_length() - 1
     fresh_u = (2 << fresh_b) - nsym
 
-    trie: dict[tuple[int, int], int] = {}
+    # edge (phrase, symbol s) is keyed phrase * nsym + s
+    trie: dict[int, int] = {}
     used = [0]  # per phrase: bitmask of the symbols it has been extended by
     node = 0
     next_phrase = 1
     # phase-in code over next_phrase parent values: b bits, first u values short
     parent_b = 0
     parent_u = 1
+    get = trie.get
     for s in symbols.tolist():
-        child = trie.get((node, s))
+        key = node * nsym + s
+        child = get(key)
         if child is not None:
             node = child
             continue
@@ -271,18 +288,21 @@ def lz78_encode(
         else:
             rank, sb, su = s, fresh_b, fresh_u
         if rank < su:
-            writer.write((code << sb) | rank, nbits + sb)
+            put_value((code << sb) | rank)
+            put_width(nbits + sb)
         else:
-            writer.write((code << (sb + 1)) | (rank + su), nbits + sb + 1)
+            put_value((code << (sb + 1)) | (rank + su))
+            put_width(nbits + sb + 1)
         used[node] = mask | (1 << s)
         used.append(0)
-        trie[(node, s)] = next_phrase
+        trie[key] = next_phrase
         next_phrase += 1
         parent_u -= 1
         if not parent_u:
             parent_b += 1
             parent_u = next_phrase
         node = 0
+    del trie, used
     phrase_count = next_phrase - 1
     if node != 0:
         writer.write(*_phase_in(node, next_phrase))
@@ -332,30 +352,6 @@ def _lz78_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> 
     return np.frombuffer(out, dtype=np.int32)
 
 
-def _castore_match(
-    trie: dict[tuple[int, int], int],
-    node_word: dict[int, int],
-    symbols: list[int],
-    pos: int,
-) -> tuple[int, int]:
-    """Longest dictionary word prefixing symbols[pos:]; returns (index, length)."""
-    node = 0
-    best_word = 0
-    best_len = 0
-    depth = 0
-    n = len(symbols)
-    while pos + depth < n:
-        node = trie.get((node, symbols[pos + depth]))
-        if node is None:
-            break
-        depth += 1
-        word = node_word.get(node)
-        if word is not None:
-            best_word = word
-            best_len = depth
-    return best_word, best_len
-
-
 def castore_encode(
     seq: SymbolicSequence | Sequence[int] | np.ndarray,
     alphabet_size: int | None = None,
@@ -363,15 +359,16 @@ def castore_encode(
     """Pair-concatenation encode; returns the bitstream and its report."""
     symbols, nsym = _as_symbols(seq, alphabet_size)
     writer = BitWriter()
+    put_value = writer.values.append
+    put_width = writer.widths.append
     syms = symbols.tolist()
 
-    trie: dict[tuple[int, int], int] = {}
-    node_word: dict[int, int] = {}
-    next_node = 1
-    for s in range(nsym):
-        trie[(0, s)] = next_node
-        node_word[next_node] = s + 1
-        next_node += 1
+    # edge (node, symbol s) is keyed node * nsym + s; node_word[node] is the
+    # index of the word ending at that node, 0 where none does
+    trie = {s: s + 1 for s in range(nsym)}
+    node_word = list(range(nsym + 1))
+    get = trie.get
+    next_node = nsym + 1
 
     dict_size = nsym
     phrase_count = 0
@@ -379,29 +376,52 @@ def castore_encode(
     n = len(syms)
     while pos < n:
         width = _bit_width(dict_size + 1)
-        u, lu = _castore_match(trie, node_word, syms, pos)
         phrase_count += 1
-        if pos + lu == n:
-            writer.write(u, width)
-            writer.write(0, width)
-            pos = n
-            break
-        v, lv = _castore_match(trie, node_word, syms, pos + lu)
-        writer.write(u, width)
-        writer.write(v, width)
-        # insert u+v into the trie
+        # u: the longest dictionary word at pos, ending at trie node u_node
+        u = u_node = 0
         node = 0
-        for j in range(pos, pos + lu + lv):
-            key = (node, syms[j])
-            child = trie.get(key)
+        j = end = pos
+        while j < n:
+            node = get(node * nsym + syms[j])
+            if node is None:
+                break
+            j += 1
+            if node_word[node]:
+                u = node_word[node]
+                u_node = node
+                end = j
+        if end == n:
+            put_value(u << width)
+            put_width(2 * width)
+            break
+        # v: the longest dictionary word after u
+        v = 0
+        node = 0
+        j = v_start = end
+        while j < n:
+            node = get(node * nsym + syms[j])
+            if node is None:
+                break
+            j += 1
+            if node_word[node]:
+                v = node_word[node]
+                end = j
+        put_value((u << width) | v)
+        put_width(2 * width)
+        # insert u+v: u is already a path from the root, so extend from u_node
+        node = u_node
+        for j in range(v_start, end):
+            key = node * nsym + syms[j]
+            child = get(key)
             if child is None:
-                trie[key] = next_node
-                child = next_node
+                trie[key] = child = next_node
+                node_word.append(0)
                 next_node += 1
             node = child
         dict_size += 1
         node_word[node] = dict_size
-        pos += lu + lv
+        pos = end
+    del trie, node_word, syms
     return _finish(writer, nsym, symbols, "castore", phrase_count)
 
 

@@ -176,10 +176,16 @@ def apply_boundary(y: float, policy: str) -> float:
 
 
 def apply_boundary_array(y: np.ndarray, policy: str) -> np.ndarray:
+    """Map every point into [0,1] by the boundary policy; returns a new array."""
     if policy == "clamp":
         return np.clip(y, 0.0, 1.0)
-    y = np.mod(y, 2.0)
-    return np.where(y > 1.0, 2.0 - y, y)
+    # reflect only the points outside [0,1]; the fold also maps -0.0 to +0.0,
+    # so the sign bit, not y < 0, picks the low side
+    out = y.copy()
+    outside = np.flatnonzero(np.signbit(y) | (y > 1.0))
+    folded = np.mod(y[outside], 2.0)
+    out[outside] = np.where(folded > 1.0, 2.0 - folded, folded)
+    return out
 
 
 def _lazy_bits(noise: NoiseSpec, count: int) -> np.ndarray:

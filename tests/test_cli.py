@@ -311,6 +311,37 @@ class TestCompressionCommands:
     def test_missing_input_exits_1(self, tmp_path):
         assert dispatch(["compress", "--cells", "2", str(tmp_path / "nope.txt"), str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("token, message", [("0x1", "'0x1'"), ("4294967296", "4294967296")])
+    def test_bad_token_exits_1(self, tmp_path, capsys, token, message):
+        src = tmp_path / "in.txt"
+        src.write_text(f"0 1\n1 {token} 0\n")
+        packed = tmp_path / "out.bin"
+        assert dispatch(["compress", "--cells", "2", str(src), str(packed)]) == 1
+        assert message in capsys.readouterr().err
+        assert not packed.exists()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 18])
+    def test_symbol_file_parsed_across_read_chunks(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_TEXT_CHUNK", chunk)
+        text = " 12 0\n\n3\t45  6\r\n7 \n 890 1"
+        src = tmp_path / "in.txt"
+        src.write_text(text)
+        symbols = cli._read_symbols(str(src))
+        assert symbols.dtype == np.int32
+        assert symbols.tolist() == [int(tok) for tok in text.split()]
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 18])
+    @pytest.mark.parametrize("length", [0, 1, 1000])
+    def test_decompressed_file_is_one_symbol_per_line(self, tmp_path, monkeypatch, chunk, length):
+        monkeypatch.setattr(cli, "_TEXT_CHUNK", chunk)
+        symbols = np.random.default_rng(length).integers(0, 300, size=length)
+        stream, _ = epsent.compressor.castore_encode(symbols, alphabet_size=300)
+        packed = tmp_path / "in.bin"
+        packed.write_bytes(stream)
+        restored = tmp_path / "out.txt"
+        assert dispatch(["decompress", str(packed), str(restored)]) == 0
+        assert restored.read_bytes() == "".join(f"{s}\n" for s in symbols.tolist()).encode()
+
 
 class TestDetectCommand:
     def test_detect_on_sweep_csv(self, tmp_path, capsys):

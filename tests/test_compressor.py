@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsent.compressor import (
@@ -95,6 +96,44 @@ class TestLz78HandParses:
     def test_constant_megasymbol_rate(self):
         _, rep = lz78_encode(np.zeros(1_000_000, dtype=np.int32), alphabet_size=2)
         assert rep.rate < 0.02
+
+
+def pinned_inputs() -> dict[str, tuple[np.ndarray, int]]:
+    """Fixed seeded inputs: iid at N = 2, 16 and 250, a constant run, nothing."""
+    rng = np.random.default_rng(20240618)
+    cases = {f"iid{n}": (rng.integers(0, n, size=20_000, dtype=np.int32), n) for n in (2, 16, 250)}
+    cases["constant"] = (np.full(20_000, 3, dtype=np.int32), 5)
+    cases["empty"] = (np.zeros(0, dtype=np.int32), 2)
+    return cases
+
+
+# (input, coder) -> (stream sha256, encoded_bits, phrase_count); the stream
+# format is fixed, so a faster encoder must reproduce these exactly
+PINNED_STREAMS = {
+    ("iid2", "lz78"): ("1966861f3d9335d41281a8e302dc0e0b4db2a9583384fc0d4f640f74d3351ecd", 22466, 2141),
+    ("iid2", "castore"): ("f58953ef0c87e2ac0e362bf0933cc4bc2fc646600bdbd2ac8f09dd803833fb21", 28658, 1481),
+    ("iid16", "lz78"): ("37c8db44dabd43b2f259e5b9753f65e68f04fa998780b9c29884188ccaff1c3f", 85608, 5878),
+    ("iid16", "castore"): ("30484a99b004a9e805dc35c95ea9eaa209525edce1c235cc468d0d0e1b5fd0f9", 112114, 4925),
+    ("iid250", "lz78"): ("55ed17f4c0466de7b63d3bbe018e9525c8d6af7dfebb8efa5d5f039547f8d117", 189441, 9796),
+    ("iid250", "castore"): ("9136145a0d8373fcb0953177c442635fed881094fc18085d590af5a6a4eaccb5", 233372, 9375),
+    ("constant", "lz78"): ("cc547f54283390303baf079383f4e0a7a6a012789cc7e3ff19762d0b25a8bc76", 2070, 200),
+    ("constant", "castore"): ("531fd068049e3966839a11a48bae04a368803f2dd4baa142ba248567f832c620", 260, 16),
+    ("empty", "lz78"): ("2d6fdc3599ab30fdd6e51b3f7c322ca24e86a213207c8d997de1a19bc15e4ba8", 128, 0),
+    ("empty", "castore"): ("daf96ab729d9754eaf26257ceddd616c9fb009d81b4b830a1ab272f19a73576c", 128, 0),
+}
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("case, algorithm", sorted(PINNED_STREAMS))
+    def test_stream_bytes_and_report(self, case, algorithm):
+        symbols, n = pinned_inputs()[case]
+        encoder = lz78_encode if algorithm == "lz78" else castore_encode
+        stream, rep = encoder(symbols, alphabet_size=n)
+        digest, bits, phrases = PINNED_STREAMS[case, algorithm]
+        assert hashlib.sha256(stream).hexdigest() == digest
+        assert rep.encoded_bits == bits
+        assert rep.phrase_count == phrases
+        assert len(stream) == (bits + 7) // 8
 
 
 class TestRoundTrips:
@@ -310,6 +349,33 @@ class TestBitIO:
     def test_value_too_wide(self):
         with pytest.raises(ValueError):
             BitWriter().write(4, 2)
+        with pytest.raises(ValueError):
+            BitWriter().write(1, 65)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0, 1, 63, 64]), st.integers(0, 64)).flatmap(
+                lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))
+            ),
+            max_size=80,
+        )
+    )
+    @example([])
+    @example([(1, 1)] * 63 + [((1 << 64) - 1, 64), (0, 0), (5, 3)])
+    def test_packed_fields_match_a_bit_string(self, fields):
+        writer = BitWriter()
+        for value, nbits in fields:
+            writer.write(value, nbits)
+        bits = "".join(format(value, f"0{nbits}b") for value, nbits in fields if nbits)
+        bits += "0" * (-len(bits) % 8)
+        expected = bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+        assert writer.getvalue() == expected
+        assert writer.bits_written == sum(nbits for _, nbits in fields)
+        reader = BitReader(expected)
+        for value, nbits in fields:
+            assert reader.read(nbits) == value
+        assert reader.padding_is_clean()
 
 
 class TestCastoreStructure:

@@ -221,6 +221,29 @@ class TestBoundaryPolicy:
         assert apply_boundary(0.9, "reflect") == 0.9
 
 
+def fold_every_point(y: np.ndarray, policy: str) -> np.ndarray:
+    """Reference boundary fold applied to every point, inside [0,1] or not."""
+    if policy == "clamp":
+        return np.clip(y, 0.0, 1.0)
+    y = np.mod(y, 2.0)
+    return np.where(y > 1.0, 2.0 - y, y)
+
+
+class TestBoundaryArray:
+    @pytest.mark.parametrize("policy", ["clamp", "reflect"])
+    def test_bit_identical_to_folding_every_point(self, policy):
+        edges = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.5])
+        special = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        rng = np.random.default_rng(41)
+        for size in (0, 1, 5, 100, 5000):
+            y = np.concatenate([rng.uniform(-3.0, 4.0, size), rng.choice(special, size), special])
+            rng.shuffle(y)
+            before = y.copy()
+            got = apply_boundary_array(y, policy)
+            assert got.tobytes() == fold_every_point(y, policy).tobytes()
+            assert y.tobytes() == before.tobytes()
+
+
 class TestSampleInvariantOrbit:
     def test_length_and_burn_in(self):
         spec = MapSpec("logistic", 4.0)
