@@ -39,6 +39,8 @@ BOUNDARIES = ("clamp", "reflect")
 
 _MASK64 = (1 << 64) - 1
 _SCALE64 = float(2**64)
+# points formatted per write of dump_orbit
+_DUMP_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -325,6 +327,8 @@ def sample_invariant_orbit(
 
 def dump_orbit(orbit: RealOrbit, path: str) -> None:
     """Debug dump: one point per line, 17 significant digits."""
+    points = orbit.points
     with open(path, "w") as fh:
-        for x in orbit.points:
-            fh.write(f"{x:.17g}\n")
+        for start in range(0, len(points), _DUMP_CHUNK):
+            block = points[start : start + _DUMP_CHUNK].tolist()
+            fh.write("".join([f"{v:.17g}\n" for v in block]))

@@ -41,9 +41,6 @@ class Partition:
     def diameter(self) -> float:
         return 1.0 / self.n_cells
 
-    def cell_of(self, x: float) -> int:
-        return min(int(x * self.n_cells), self.n_cells - 1)
-
 
 @dataclass
 class SymbolicSequence:

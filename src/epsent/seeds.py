@@ -2,15 +2,15 @@
 
 Every random quantity in the package is a pure function of a 64-bit seed.
 Sub-streams (noise draws, initial conditions, lazy mantissa bits, Monte-Carlo
-probes, sweep cells) are derived with the SplitMix64 finalizer chained over
-integer tags:
+probes, sweep orbits and cells) are derived with the SplitMix64 finalizer
+chained over integer tags:
 
     s0 = splitmix64(seed)
     s_{k+1} = splitmix64(s_k XOR tag_k)
 
 This mixer is part of the output contract: grid results must not depend on
-execution order or worker count, so cell seeds are derived from indices, never
-from shared RNG state. Do not change the constants.
+execution order or worker count, so orbit and cell seeds are derived from
+indices, never from shared RNG state. Do not change the constants.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ PROBE_ORBIT_STREAM = 0x04
 PROBE_NOISE_STREAM = 0x05
 COMPANION_STREAM = 0xC0
 CELL_STREAM = 0xCE
+ORBIT_STREAM = 0xB0
 
 
 def splitmix64(value: int) -> int:
@@ -46,6 +47,11 @@ def mix(seed: int, *tags: int) -> int:
 def cell_seed(master_seed: int, sigma_index: int, eps_index: int) -> int:
     """Seed for one (sigma, eps) grid cell; independent of execution order."""
     return mix(master_seed, CELL_STREAM, sigma_index, eps_index)
+
+
+def orbit_seed(master_seed: int, sigma_index: int) -> int:
+    """Seed for the noisy orbit that every partition of one sigma observes."""
+    return mix(master_seed, ORBIT_STREAM, sigma_index)
 
 
 def companion_seed(master_seed: int) -> int:

@@ -1,11 +1,13 @@
 """The (sigma, eps) grid experiment: run, detect, export.
 
-Each grid cell generates one noisy orbit, codes it symbolically and measures
-its compression rate, block-entropy rate and conditional entropy, alongside
-the one-step mismatch probability and the analytic bound set.  Cell seeds are
-pure functions of (master seed, sigma index, eps index) on the sorted grid,
-so results are independent of execution order and worker count; re-running a
-sweep reproduces the output byte for byte.
+Each sigma of the grid generates one noisy orbit, and every partition of the
+grid observes that same orbit: each grid cell codes it symbolically and
+measures its compression rate, block-entropy rate and conditional entropy,
+alongside the one-step mismatch probability and the analytic bound set.  The
+orbit seed is a pure function of (master seed, sigma index) and the seed of a
+cell's mismatch Monte Carlo of (master seed, sigma index, eps index) on the
+sorted grid, so results are independent of execution order and worker count;
+re-running a sweep reproduces the output byte for byte.
 
 The noise-free quantities the bounds need (entropy proxy, convergence depth,
 refined-partition diameter) come from one companion run with sigma = 0,
@@ -25,7 +27,7 @@ from typing import Sequence
 from .bounds import BoundSet, envelope, noise_density_bound
 from .compressor import castore_encode, lz78_encode
 from .config import RunConfig
-from .dynamics import MapSpec, NoiseSpec, sample_invariant_orbit
+from .dynamics import MapSpec, NoiseSpec, RealOrbit, sample_invariant_orbit
 from .estimators import (
     block_entropy_rate,
     choose_n0,
@@ -34,7 +36,7 @@ from .estimators import (
     estimate_p,
 )
 from .partition import Partition, encode, refine_cylinders
-from .seeds import cell_seed, companion_seed
+from .seeds import cell_seed, companion_seed, orbit_seed
 
 CSV_COLUMNS = (
     "sigma",
@@ -144,6 +146,33 @@ def companion_stats(config: RunConfig) -> list[CompanionStats]:
     return out
 
 
+# (config, sigma index, sigma) -> that sigma's orbit; at most one entry
+_orbit_cache: dict[tuple[RunConfig, int, float], RealOrbit] = {}
+
+
+def _sigma_orbit(config: RunConfig, si: int, sigma: float) -> RealOrbit:
+    """The noisy orbit of grid sigma ``si``, which all its partitions observe.
+
+    The cells reach the serial loop, and each pool worker, sigma by sigma, so
+    a one-entry cache per process builds each orbit there at most once.  The
+    previous sigma's orbit is dropped before the next is built, so the two
+    never take memory at once.  ``run_grid`` empties the cache when it
+    returns or raises.
+    """
+    key = (config, si, sigma)
+    if key not in _orbit_cache:
+        _orbit_cache.clear()
+        noise = NoiseSpec(
+            sigma=sigma,
+            mode=config.noise_mode,
+            boundary=config.boundary,
+            seed=orbit_seed(config.seed, si),
+        )
+        spec = MapSpec(config.map, config.lam)
+        _orbit_cache[key] = sample_invariant_orbit(spec, noise, config.length, config.burn_in)
+    return _orbit_cache[key]
+
+
 def _cell_task(
     args: tuple[RunConfig, float, int, int, int, CompanionStats],
 ) -> CurvePoint:
@@ -153,12 +182,12 @@ def _cell_task(
         part = Partition(n)
         eps = part.diameter
         seed = cell_seed(config.seed, si, ei)
+        # seeds only this cell's mismatch Monte Carlo
         noise = NoiseSpec(
             sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed
         )
 
-        orbit = sample_invariant_orbit(spec, noise, config.length, config.burn_in)
-        seq = encode(orbit, part)
+        seq = encode(_sigma_orbit(config, si, sigma), part)
 
         encoder = lz78_encode if config.algorithm == "lz78" else castore_encode
         _, report = encoder(seq)
@@ -202,16 +231,20 @@ def run_grid(config: RunConfig) -> list[EntropyCurve]:
     sigmas, cells = _sorted_grid(config)
     comps = companion_stats(config)
 
+    # sigma-major, so that consecutive cells share their orbit
     tasks = [
         (config, sigma, n, si, ei, comps[ei])
         for si, sigma in enumerate(sigmas)
         for ei, n in enumerate(cells)
     ]
-    if config.workers == 1:
-        results = [_cell_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_cell_task, tasks))
+    try:
+        if config.workers == 1:
+            results = [_cell_task(t) for t in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+                results = list(pool.map(_cell_task, tasks))
+    finally:
+        _orbit_cache.clear()
 
     curves = []
     per_sigma = len(cells)

@@ -6,10 +6,12 @@ import pytest
 from epsent.dynamics import (
     MapSpec,
     NoiseSpec,
+    RealOrbit,
     _lazy_bits,
     _shift_state,
     apply_boundary,
     apply_boundary_array,
+    dump_orbit,
     generate_orbit,
     iterate_map,
     map_branches,
@@ -257,6 +259,20 @@ class TestSampleInvariantOrbit:
         orbit = sample_invariant_orbit(MapSpec("logistic", 4.0), NoiseSpec(seed=37), 5000)
         frac_low = float((orbit.points < 0.5).mean())
         assert 0.3 < frac_low < 0.7
+
+
+class TestDumpOrbit:
+    @pytest.mark.parametrize("chunk", [3, 1 << 18])
+    @pytest.mark.parametrize("length", [0, 1, 1000])
+    def test_bytes_match_one_fstring_per_point(self, tmp_path, monkeypatch, chunk, length):
+        import epsent.dynamics
+
+        monkeypatch.setattr(epsent.dynamics, "_DUMP_CHUNK", chunk)
+        rng = np.random.default_rng(length)
+        points = np.concatenate([[0.0, 1.0, 1.0 - 2.0**-53], rng.random(length)])
+        path = tmp_path / "orbit.txt"
+        dump_orbit(RealOrbit(points=points), str(path))
+        assert path.read_bytes() == "".join(f"{x:.17g}\n" for x in points).encode()
 
 
 def _seeded_x0(noise: NoiseSpec) -> float:

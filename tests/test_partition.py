@@ -88,7 +88,7 @@ class TestRefineCylinders:
             x = 0.5 * (lo + hi)
             itinerary = []
             for _ in range(depth):
-                itinerary.append(part.cell_of(x))
+                itinerary.append(int(encode([x], part).symbols[0]))
                 x = iterate_map(spec, x)
             assert tuple(itinerary) == word, f"cylinder [{lo},{hi}]"
 

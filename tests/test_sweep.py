@@ -4,9 +4,15 @@ import math
 
 import pytest
 
+import epsent.sweep
 from epsent.config import RunConfig
+from epsent.seeds import companion_seed, orbit_seed
 from epsent.sweep import (
     CSV_COLUMNS,
+    _cell_task,
+    _orbit_cache,
+    _sigma_orbit,
+    _sorted_grid,
     companion_stats,
     curves_to_rows,
     detect_sigma,
@@ -29,8 +35,8 @@ TENT_SMALL = dataclasses.replace(SMALL, map="tent", noise_mode="output", algorit
 # each other, so only these catch a byte drift that every run shares; a
 # change that moves them changes the sweep's output and must say why.
 CSV_SHA256 = {
-    "logistic": "3a15c6e5bf388fb8e626101d7ff713c8364c143738d3b8d16935bac4650b5d27",
-    "tent": "799afc89d50dfdee5e25e8d36ed50fa3656bd8866bae623047ef63d5857a3ce3",
+    "logistic": "5f47de6a855540a67031b0bbe365dc122a3707be59c631d42dd8ce0721146724",
+    "tent": "f035998186a113ee349a6eda57712d9faf7ad025a15fcd35b49da35ed0178ec6",
 }
 
 
@@ -142,6 +148,75 @@ class TestRunGrid:
         emit_csv(small_curves, str(a))
         emit_csv(curves, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSharedOrbit:
+    def test_one_orbit_per_sigma(self, monkeypatch):
+        seeds = []
+        cached_while_building = []
+        generate = epsent.sweep.sample_invariant_orbit
+
+        def recording(spec, noise, length, burn_in=1000):
+            seeds.append(noise.seed)
+            cached_while_building.append(len(_orbit_cache))
+            return generate(spec, noise, length, burn_in)
+
+        monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording)
+        run_grid(SMALL)
+        assert seeds == [companion_seed(SMALL.seed)] + [
+            orbit_seed(SMALL.seed, si) for si in range(len(SMALL.sigma))
+        ]
+        # the previous sigma's orbit is gone before the next one is built
+        assert cached_while_building == [0] * len(seeds)
+        assert not _orbit_cache
+
+    def test_cache_emptied_when_a_cell_fails(self, monkeypatch):
+        def failing(seq):
+            raise ValueError("coder down")
+
+        monkeypatch.setattr(epsent.sweep, "lz78_encode", failing)
+        with pytest.raises(RuntimeError, match="coder down"):
+            run_grid(SMALL)
+        assert not _orbit_cache
+
+    def test_back_to_back_configs_match_fresh_runs(self, monkeypatch):
+        # one sigma, so that an orbit left over from the previous run would
+        # be asked for under the same (sigma index, sigma) at once
+        first = dataclasses.replace(SMALL, sigma=(0.1,))
+        configs = [
+            first,
+            dataclasses.replace(first, seed=first.seed + 1),
+            dataclasses.replace(first, seed=first.seed + 1, length=first.length + 5000),
+        ]
+
+        def uncached(*key):
+            # reference: every cell builds its orbit from an empty cache
+            _orbit_cache.clear()
+            return _sigma_orbit(*key)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(epsent.sweep, "_sigma_orbit", uncached)
+            fresh = [curves_to_rows(run_grid(c)) for c in configs]
+        assert fresh[0] != fresh[1] != fresh[2]
+        assert [curves_to_rows(run_grid(c)) for c in configs] == fresh
+
+    def test_interleaved_sigma_order_gives_the_same_points(self):
+        config = SMALL.validate()
+        sigmas, cells = _sorted_grid(config)
+        comps = companion_stats(config)
+        tasks = [
+            (config, sigma, n, si, ei, comps[ei])
+            for si, sigma in enumerate(sigmas)
+            for ei, n in enumerate(cells)
+        ]
+        # eps-major: every call asks for another sigma than the one before
+        interleaved = sorted(range(len(tasks)), key=lambda k: (tasks[k][4], tasks[k][3]))
+        try:
+            in_order = [_cell_task(t) for t in tasks]
+            by_index = {k: _cell_task(tasks[k]) for k in interleaved}
+        finally:
+            _orbit_cache.clear()
+        assert [by_index[k] for k in range(len(tasks))] == in_order
 
 
 class TestCsvEmission:
