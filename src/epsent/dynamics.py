@@ -106,16 +106,11 @@ def iterate_map(spec: MapSpec, x: float) -> float:
     """Apply the map once to a point of [0,1]."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"point {x} outside [0,1]")
-    if spec.kind == "logistic":
-        return spec.lam * x * (1.0 - x)
-    if spec.kind == "doubling":
-        y = 2.0 * x
-        return y - math.floor(y) if x < 1.0 else 0.0
-    return 1.0 - abs(1.0 - 2.0 * x)
+    return float(iterate_map_array(spec, np.float64(x)))
 
 
 def iterate_map_array(spec: MapSpec, x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`iterate_map` (no per-point domain check)."""
+    """Apply the map once to every point (no domain check)."""
     if spec.kind == "logistic":
         return spec.lam * x * (1.0 - x)
     if spec.kind == "doubling":

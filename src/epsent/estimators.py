@@ -22,7 +22,7 @@ from .dynamics import (
     iterate_map_array,
     sample_invariant_orbit,
 )
-from .partition import Partition, SymbolicSequence, word_counts
+from .partition import Partition, SymbolicSequence, encode, word_counts
 from .seeds import PROBE_NOISE_STREAM, PROBE_ORBIT_STREAM, mix
 
 
@@ -163,9 +163,8 @@ def estimate_p(
     w = w_rng.uniform(-noise.sigma, noise.sigma, size=samples)
     moved = apply_boundary_array(fx + w, noise.boundary)
 
-    n = partition.n_cells
-    before = np.minimum(np.floor(fx * n).astype(np.int64), n - 1)
-    after = np.minimum(np.floor(moved * n).astype(np.int64), n - 1)
+    before = encode(fx, partition).symbols
+    after = encode(moved, partition).symbols
     p_hat = float(np.mean(before != after))
     halfwidth = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
     return p_hat, halfwidth

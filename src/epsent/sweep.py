@@ -9,6 +9,11 @@ cell's mismatch Monte Carlo of (master seed, sigma index, eps index) on the
 sorted grid, so results are independent of execution order and worker count;
 re-running a sweep reproduces the output byte for byte.
 
+The work goes out as orbit tasks: each sigma's partitions are split into
+k = min(workers, partitions) strided slices, and a task builds its sigma's
+orbit, observes it with every partition of its slice and frees it on return.
+So each sigma's orbit is built k times, once on 1 worker.
+
 The noise-free quantities the bounds need (entropy proxy, convergence depth,
 refined-partition diameter) come from one companion run with sigma = 0,
 encoded against each partition of the grid.  A cell that fails aborts the
@@ -146,37 +151,23 @@ def companion_stats(config: RunConfig) -> list[CompanionStats]:
     return out
 
 
-# (config, sigma index, sigma) -> that sigma's orbit; at most one entry
-_orbit_cache: dict[tuple[RunConfig, int, float], RealOrbit] = {}
-
-
-def _sigma_orbit(config: RunConfig, si: int, sigma: float) -> RealOrbit:
-    """The noisy orbit of grid sigma ``si``, which all its partitions observe.
-
-    The cells reach the serial loop, and each pool worker, sigma by sigma, so
-    a one-entry cache per process builds each orbit there at most once.  The
-    previous sigma's orbit is dropped before the next is built, so the two
-    never take memory at once.  ``run_grid`` empties the cache when it
-    returns or raises.
-    """
-    key = (config, si, sigma)
-    if key not in _orbit_cache:
-        _orbit_cache.clear()
-        noise = NoiseSpec(
-            sigma=sigma,
-            mode=config.noise_mode,
-            boundary=config.boundary,
-            seed=orbit_seed(config.seed, si),
-        )
-        spec = MapSpec(config.map, config.lam)
-        _orbit_cache[key] = sample_invariant_orbit(spec, noise, config.length, config.burn_in)
-    return _orbit_cache[key]
+def _orbit_task(
+    args: tuple[RunConfig, int, float, Sequence[tuple[int, int, CompanionStats]]],
+) -> list[CurvePoint]:
+    """Build grid sigma ``si``'s noisy orbit and observe it with each
+    partition ``(ei, n, comp)`` of ``parts``; the orbit dies with the task."""
+    config, si, sigma, parts = args
+    seed = orbit_seed(config.seed, si)
+    noise = NoiseSpec(sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed)
+    spec = MapSpec(config.map, config.lam)
+    orbit = sample_invariant_orbit(spec, noise, config.length, config.burn_in)
+    return [_cell_task(config, orbit, si, sigma, ei, n, comp) for ei, n, comp in parts]
 
 
 def _cell_task(
-    args: tuple[RunConfig, float, int, int, int, CompanionStats],
+    config: RunConfig, orbit: RealOrbit, si: int, sigma: float,
+    ei: int, n: int, comp: CompanionStats,
 ) -> CurvePoint:
-    config, sigma, n, si, ei, comp = args
     try:
         spec = MapSpec(config.map, config.lam)
         part = Partition(n)
@@ -187,7 +178,7 @@ def _cell_task(
             sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed
         )
 
-        seq = encode(_sigma_orbit(config, si, sigma), part)
+        seq = encode(orbit, part)
 
         encoder = lz78_encode if config.algorithm == "lz78" else castore_encode
         _, report = encoder(seq)
@@ -231,25 +222,19 @@ def run_grid(config: RunConfig) -> list[EntropyCurve]:
     sigmas, cells = _sorted_grid(config)
     comps = companion_stats(config)
 
-    # sigma-major, so that consecutive cells share their orbit
-    tasks = [
-        (config, sigma, n, si, ei, comps[ei])
-        for si, sigma in enumerate(sigmas)
-        for ei, n in enumerate(cells)
-    ]
-    try:
-        if config.workers == 1:
-            results = [_cell_task(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(_cell_task, tasks))
-    finally:
-        _orbit_cache.clear()
+    # one orbit build per slice; strided slices mix cheap and costly partitions
+    k = min(config.workers, len(cells))
+    parts = list(zip(range(len(cells)), cells, comps))
+    tasks = [(config, si, sigma, parts[c::k]) for si, sigma in enumerate(sigmas) for c in range(k)]
+    if config.workers == 1:
+        results = [_orbit_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(_orbit_task, tasks))
 
     curves = []
-    per_sigma = len(cells)
     for si, sigma in enumerate(sigmas):
-        points = sorted(results[si * per_sigma : (si + 1) * per_sigma], key=lambda p: -p.eps)
+        points = sorted(sum(results[si * k : (si + 1) * k], []), key=lambda p: -p.eps)
         curves.append(EntropyCurve(sigma=sigma, points=points, orbit_len=config.length))
     return curves
 

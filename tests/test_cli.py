@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import epsent
-from epsent import cli, sweep
+from epsent import cli, selftest, sweep
 from epsent.cli import dispatch
 from epsent.config import SCHEMA, ConfigError, RunConfig, load_config
 
@@ -370,6 +370,11 @@ class TestDetectCommand:
 
 
 class TestSelftest:
+    @pytest.mark.parametrize("oracle", [fn for _, fn in selftest.ORACLES],
+                             ids=[name for name, _ in selftest.ORACLES])
+    def test_oracle(self, oracle):
+        oracle()
+
     def test_all_oracles_pass(self, capsys):
         assert dispatch(["selftest"]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+from collections import Counter
 
 import pytest
 
@@ -9,10 +11,6 @@ from epsent.config import RunConfig
 from epsent.seeds import companion_seed, orbit_seed
 from epsent.sweep import (
     CSV_COLUMNS,
-    _cell_task,
-    _orbit_cache,
-    _sigma_orbit,
-    _sorted_grid,
     companion_stats,
     curves_to_rows,
     detect_sigma,
@@ -128,8 +126,10 @@ class TestRunGrid:
         emit_csv(again, str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_count_does_not_change_bytes(self, small_curves, tmp_path):
-        parallel = run_grid(dataclasses.replace(SMALL, workers=2))
+    # SMALL has 3 partitions: 2 workers do not divide them, 5 exceed them
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_worker_count_does_not_change_bytes(self, small_curves, tmp_path, workers):
+        parallel = run_grid(dataclasses.replace(SMALL, workers=workers))
         a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         emit_csv(small_curves, str(a))
         emit_csv(parallel, str(b))
@@ -153,12 +153,10 @@ class TestRunGrid:
 class TestSharedOrbit:
     def test_one_orbit_per_sigma(self, monkeypatch):
         seeds = []
-        cached_while_building = []
         generate = epsent.sweep.sample_invariant_orbit
 
         def recording(spec, noise, length, burn_in=1000):
             seeds.append(noise.seed)
-            cached_while_building.append(len(_orbit_cache))
             return generate(spec, noise, length, burn_in)
 
         monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording)
@@ -166,57 +164,28 @@ class TestSharedOrbit:
         assert seeds == [companion_seed(SMALL.seed)] + [
             orbit_seed(SMALL.seed, si) for si in range(len(SMALL.sigma))
         ]
-        # the previous sigma's orbit is gone before the next one is built
-        assert cached_while_building == [0] * len(seeds)
-        assert not _orbit_cache
 
-    def test_cache_emptied_when_a_cell_fails(self, monkeypatch):
-        def failing(seq):
-            raise ValueError("coder down")
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers see the recording orbit builder only when forked",
+    )
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_each_sigma_orbit_built_once_per_slice(self, monkeypatch, tmp_path, workers):
+        log = tmp_path / "builds.txt"
+        generate = epsent.sweep.sample_invariant_orbit
 
-        monkeypatch.setattr(epsent.sweep, "lz78_encode", failing)
-        with pytest.raises(RuntimeError, match="coder down"):
-            run_grid(SMALL)
-        assert not _orbit_cache
+        def recording(spec, noise, length, burn_in=1000):
+            with open(log, "a") as fh:
+                fh.write(f"{noise.seed}\n")
+            return generate(spec, noise, length, burn_in)
 
-    def test_back_to_back_configs_match_fresh_runs(self, monkeypatch):
-        # one sigma, so that an orbit left over from the previous run would
-        # be asked for under the same (sigma index, sigma) at once
-        first = dataclasses.replace(SMALL, sigma=(0.1,))
-        configs = [
-            first,
-            dataclasses.replace(first, seed=first.seed + 1),
-            dataclasses.replace(first, seed=first.seed + 1, length=first.length + 5000),
-        ]
-
-        def uncached(*key):
-            # reference: every cell builds its orbit from an empty cache
-            _orbit_cache.clear()
-            return _sigma_orbit(*key)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(epsent.sweep, "_sigma_orbit", uncached)
-            fresh = [curves_to_rows(run_grid(c)) for c in configs]
-        assert fresh[0] != fresh[1] != fresh[2]
-        assert [curves_to_rows(run_grid(c)) for c in configs] == fresh
-
-    def test_interleaved_sigma_order_gives_the_same_points(self):
-        config = SMALL.validate()
-        sigmas, cells = _sorted_grid(config)
-        comps = companion_stats(config)
-        tasks = [
-            (config, sigma, n, si, ei, comps[ei])
-            for si, sigma in enumerate(sigmas)
-            for ei, n in enumerate(cells)
-        ]
-        # eps-major: every call asks for another sigma than the one before
-        interleaved = sorted(range(len(tasks)), key=lambda k: (tasks[k][4], tasks[k][3]))
-        try:
-            in_order = [_cell_task(t) for t in tasks]
-            by_index = {k: _cell_task(tasks[k]) for k in interleaved}
-        finally:
-            _orbit_cache.clear()
-        assert [by_index[k] for k in range(len(tasks))] == in_order
+        monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording)
+        run_grid(dataclasses.replace(SMALL, workers=workers))
+        slices = min(workers, len(SMALL.n_list))
+        assert Counter(int(line) for line in log.read_text().split()) == {
+            companion_seed(SMALL.seed): 1,
+            **{orbit_seed(SMALL.seed, si): slices for si in range(len(SMALL.sigma))},
+        }
 
 
 class TestCsvEmission:
