@@ -26,6 +26,7 @@ from .estimators import (
     choose_n0,
     conditional_entropy,
     estimate_p,
+    mismatch_probe,
 )
 from .partition import (
     CylinderSet,

@@ -5,6 +5,10 @@ All entropies are in bits.  Block entropies use the maximum-likelihood
 is available but off by default.  The conditional entropy of depth n is the
 increment H_{n+1} - H_n, which converges to the per-symbol entropy rate much
 faster than H_n / n.
+
+The one-step mismatch probability p that the bounds take is estimated in two
+steps: :func:`mismatch_probe` samples the perturbed system once, and
+:func:`estimate_p` compares cells on that sample for one partition.
 """
 
 from __future__ import annotations
@@ -132,23 +136,17 @@ def choose_n0(
     return DepthSelection(max_depth, abs(ces[-1] - target), False, tuple(ces))
 
 
-def estimate_p(
-    spec: MapSpec,
-    partition: Partition,
-    noise: NoiseSpec,
-    samples: int,
-    burn_in: int = 1000,
-) -> tuple[float, float]:
-    """Monte-Carlo one-step cell-mismatch probability and 95% half-width.
+def mismatch_probe(spec: MapSpec, noise: NoiseSpec, samples: int, burn_in: int) -> np.ndarray:
+    """Images f(x) of ``samples`` points x of a burned-in orbit of the system.
 
-    Estimates P{ cell(policy(f(x) + w)) != cell(f(x)) } with x drawn from a
-    burned-in orbit of the system and w drawn fresh from the noise law.
+    These are the base points of :func:`estimate_p`.  The base orbit carries
+    the dynamical noise of ``noise`` and is noise-free in output mode, where
+    the noise never feeds back into the dynamics; it is seeded by
+    ``mix(noise.seed, PROBE_ORBIT_STREAM)``.  The probe depends on the
+    perturbed system only, so every partition can share one.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if noise.sigma == 0.0 or noise.mode == "none":
-        return 0.0, 0.0
-
     base_sigma = noise.sigma if noise.mode == "dynamical" else 0.0
     base = NoiseSpec(
         sigma=base_sigma,
@@ -157,7 +155,22 @@ def estimate_p(
         seed=mix(noise.seed, PROBE_ORBIT_STREAM),
     )
     orbit = sample_invariant_orbit(spec, base, samples, burn_in)
-    fx = iterate_map_array(spec, orbit.points)
+    return iterate_map_array(spec, orbit.points)
+
+
+def estimate_p(fx: np.ndarray, partition: Partition, noise: NoiseSpec) -> tuple[float, float]:
+    """Monte-Carlo one-step cell-mismatch probability and 95% half-width.
+
+    Estimates P{ cell(policy(f(x) + w)) != cell(f(x)) } over the probe
+    images ``fx`` (see :func:`mismatch_probe`), with one w per image drawn
+    fresh from the noise law, seeded by ``mix(noise.seed, PROBE_NOISE_STREAM)``.
+    ``fx`` is not modified.
+    """
+    samples = len(fx)
+    if samples < 1:
+        raise ValueError("no probe points")
+    if noise.sigma == 0.0 or noise.mode == "none":
+        return 0.0, 0.0
 
     w_rng = np.random.default_rng(mix(noise.seed, PROBE_NOISE_STREAM))
     w = w_rng.uniform(-noise.sigma, noise.sigma, size=samples)

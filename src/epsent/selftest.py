@@ -105,12 +105,12 @@ def periodic_estimators() -> None:
 
 
 def mismatch_probability() -> None:
-    part = Partition(2)
+    spec, part, probe = MapSpec("logistic", 4.0), Partition(2), estimators.mismatch_probe
     silent = NoiseSpec(sigma=0.0, mode="dynamical", seed=5)
-    p0, _ = estimators.estimate_p(MapSpec("logistic", 4.0), part, silent, 10_000)
+    p0, _ = estimators.estimate_p(probe(spec, silent, 10_000, 1000), part, silent)
     _expect(p0 == 0.0)
     loud = NoiseSpec(sigma=1.0, mode="dynamical", seed=5)
-    p1, _ = estimators.estimate_p(MapSpec("logistic", 4.0), part, loud, 50_000)
+    p1, _ = estimators.estimate_p(probe(spec, loud, 50_000, 1000), part, loud)
     _expect(p1 >= 0.25, f"p_hat {p1:.4f}")
 
 

@@ -4,15 +4,19 @@ Each sigma of the grid generates one noisy orbit, and every partition of the
 grid observes that same orbit: each grid cell codes it symbolically and
 measures its compression rate, block-entropy rate and conditional entropy,
 alongside the one-step mismatch probability and the analytic bound set.  The
-orbit seed is a pure function of (master seed, sigma index) and the seed of a
-cell's mismatch Monte Carlo of (master seed, sigma index, eps index) on the
-sorted grid, so results are independent of execution order and worker count;
-re-running a sweep reproduces the output byte for byte.
+mismatch probe (the images f(x) of points x sampled from the perturbed
+system) is likewise built once per sigma and shared by its partitions; each
+cell only draws its own noise on it.  The orbit and the probe are seeded by
+(master seed, sigma index) and a cell's noise draws by (master seed, sigma
+index, eps index) on the sorted grid, so results are independent of
+execution order and worker count; re-running a sweep reproduces the output
+byte for byte.
 
 The work goes out as orbit tasks: each sigma's partitions are split into
 k = min(workers, partitions) strided slices, and a task builds its sigma's
-orbit, observes it with every partition of its slice and frees it on return.
-So each sigma's orbit is built k times, once on 1 worker.
+orbit and probe, observes them with every partition of its slice and frees
+them on return.  So each sigma's orbit and probe are built k times, once on
+1 worker.
 
 The noise-free quantities the bounds need (entropy proxy, convergence depth,
 refined-partition diameter) come from one companion run with sigma = 0,
@@ -29,6 +33,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bounds import BoundSet, envelope, noise_density_bound
 from .compressor import castore_encode, lz78_encode
 from .config import RunConfig
@@ -39,6 +45,7 @@ from .estimators import (
     conditional_entropy,
     default_max_block,
     estimate_p,
+    mismatch_probe,
 )
 from .partition import Partition, encode, refine_cylinders
 from .seeds import cell_seed, companion_seed, orbit_seed
@@ -154,26 +161,27 @@ def companion_stats(config: RunConfig) -> list[CompanionStats]:
 def _orbit_task(
     args: tuple[RunConfig, int, float, Sequence[tuple[int, int, CompanionStats]]],
 ) -> list[CurvePoint]:
-    """Build grid sigma ``si``'s noisy orbit and observe it with each
-    partition ``(ei, n, comp)`` of ``parts``; the orbit dies with the task."""
+    """Build grid sigma ``si``'s noisy orbit and mismatch probe and observe
+    them with each partition ``(ei, n, comp)`` of ``parts``; both die with
+    the task."""
     config, si, sigma, parts = args
     seed = orbit_seed(config.seed, si)
     noise = NoiseSpec(sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed)
     spec = MapSpec(config.map, config.lam)
     orbit = sample_invariant_orbit(spec, noise, config.length, config.burn_in)
-    return [_cell_task(config, orbit, si, sigma, ei, n, comp) for ei, n, comp in parts]
+    fx = mismatch_probe(spec, noise, config.p_samples, config.burn_in)
+    return [_cell_task(config, orbit, fx, si, sigma, ei, n, comp) for ei, n, comp in parts]
 
 
 def _cell_task(
-    config: RunConfig, orbit: RealOrbit, si: int, sigma: float,
+    config: RunConfig, orbit: RealOrbit, fx: np.ndarray, si: int, sigma: float,
     ei: int, n: int, comp: CompanionStats,
 ) -> CurvePoint:
     try:
-        spec = MapSpec(config.map, config.lam)
         part = Partition(n)
         eps = part.diameter
         seed = cell_seed(config.seed, si, ei)
-        # seeds only this cell's mismatch Monte Carlo
+        # seeds only this cell's noise draws on the sigma's mismatch probe
         noise = NoiseSpec(
             sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed
         )
@@ -193,7 +201,7 @@ def _cell_task(
             block_rate = block_entropy_rate(seq, block_depth, config.miller_madow)
             cond_e = conditional_entropy(seq, comp.n0, config.miller_madow)
 
-        p_hat, p_half = estimate_p(spec, part, noise, config.p_samples)
+        p_hat, p_half = estimate_p(fx, part, noise)
         density_bound = noise_density_bound(sigma, config.boundary)
         bset = envelope(
             comp.h_eps, comp.delta_gap, p_hat, sigma, eps, comp.eps_n0, density_bound

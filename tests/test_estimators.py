@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import epsent.dynamics
 from epsent.dynamics import MapSpec, NoiseSpec, sample_invariant_orbit
 from epsent.estimators import (
     bernoulli_entropy,
@@ -12,6 +13,7 @@ from epsent.estimators import (
     conditional_entropy,
     default_max_block,
     estimate_p,
+    mismatch_probe,
 )
 from epsent.partition import Partition, SymbolicSequence, encode
 
@@ -126,38 +128,79 @@ class TestChooseN0:
         assert default_max_block(5000, 2) == 6
 
 
+def probe_p(spec, part, noise, samples):
+    return estimate_p(mismatch_probe(spec, noise, samples, 1000), part, noise)
+
+
 class TestEstimateP:
     def test_zero_sigma_exact_zero(self):
-        p, hw = estimate_p(
+        p, hw = probe_p(
             MapSpec("logistic", 4.0), Partition(2), NoiseSpec(sigma=0.0, mode="dynamical", seed=1), 10_000
         )
         assert p == 0.0 and hw == 0.0
 
     def test_huge_noise_flips_often(self):
         noise = NoiseSpec(sigma=1.0, mode="dynamical", seed=2)
-        p, _ = estimate_p(MapSpec("logistic", 4.0), Partition(2), noise, 100_000)
+        p, _ = probe_p(MapSpec("logistic", 4.0), Partition(2), noise, 100_000)
         assert p >= 0.25
 
     def test_doubling_small_noise_band(self):
         # crossing fraction ~ E|w| / cell spacing = sigma/2 = 0.005
         noise = NoiseSpec(sigma=0.01, mode="dynamical", boundary="clamp", seed=3)
-        p, hw = estimate_p(MapSpec("doubling"), Partition(2), noise, 1_000_000)
+        p, hw = probe_p(MapSpec("doubling"), Partition(2), noise, 1_000_000)
         assert 0.002 <= p <= 0.02
         assert p == pytest.approx(0.005, abs=0.001)
 
     def test_deterministic_given_seed(self):
         noise = NoiseSpec(sigma=0.05, mode="dynamical", seed=4)
-        a = estimate_p(MapSpec("logistic", 4.0), Partition(4), noise, 20_000)
-        b = estimate_p(MapSpec("logistic", 4.0), Partition(4), noise, 20_000)
+        a = probe_p(MapSpec("logistic", 4.0), Partition(4), noise, 20_000)
+        b = probe_p(MapSpec("logistic", 4.0), Partition(4), noise, 20_000)
         assert a == b
 
     def test_halfwidth_shrinks_with_samples(self):
         noise = NoiseSpec(sigma=0.1, mode="dynamical", seed=5)
-        _, hw_small = estimate_p(MapSpec("logistic", 4.0), Partition(4), noise, 10_000)
-        _, hw_big = estimate_p(MapSpec("logistic", 4.0), Partition(4), noise, 160_000)
+        _, hw_small = probe_p(MapSpec("logistic", 4.0), Partition(4), noise, 10_000)
+        _, hw_big = probe_p(MapSpec("logistic", 4.0), Partition(4), noise, 160_000)
         assert hw_big < hw_small / 3.0
 
     def test_output_mode_uses_clean_base_orbit(self):
         noise = NoiseSpec(sigma=0.05, mode="output", seed=6)
-        p, _ = estimate_p(MapSpec("logistic", 4.0), Partition(2), noise, 50_000)
+        p, _ = probe_p(MapSpec("logistic", 4.0), Partition(2), noise, 50_000)
         assert 0.0 < p < 0.2
+
+
+class TestSharedProbe:
+    """One probe serves every cell of a sigma; each cell draws its own noise."""
+
+    @pytest.fixture
+    def fx(self):
+        noise = NoiseSpec(sigma=0.05, mode="dynamical", seed=7)
+        return mismatch_probe(MapSpec("logistic", 4.0), noise, 20_000, 1000)
+
+    def test_cell_seeds_draw_different_noise(self, fx):
+        a = estimate_p(fx, Partition(8), NoiseSpec(sigma=0.05, mode="dynamical", seed=1))
+        b = estimate_p(fx, Partition(8), NoiseSpec(sigma=0.05, mode="dynamical", seed=2))
+        assert a != b
+
+    def test_one_seed_repeats_and_leaves_the_probe_alone(self, fx):
+        before = fx.copy()
+        noise = NoiseSpec(sigma=0.05, mode="dynamical", seed=1)
+        a = estimate_p(fx, Partition(8), noise)
+        b = estimate_p(fx, Partition(8), noise)
+        assert a == b
+        assert np.array_equal(fx, before)
+
+    def test_estimate_builds_no_orbit(self, fx, monkeypatch):
+        def no_orbit(*args, **kwargs):
+            raise AssertionError("estimate_p built an orbit")
+
+        # every orbit, sample_invariant_orbit's included, comes from generate_orbit
+        monkeypatch.setattr(epsent.dynamics, "generate_orbit", no_orbit)
+        estimate_p(fx, Partition(8), NoiseSpec(sigma=0.05, mode="dynamical", seed=1))
+
+    def test_validation(self, fx):
+        noise = NoiseSpec(sigma=0.05, mode="dynamical", seed=1)
+        with pytest.raises(ValueError):
+            mismatch_probe(MapSpec("logistic", 4.0), noise, 0, 1000)
+        with pytest.raises(ValueError):
+            estimate_p(fx[:0], Partition(8), noise)

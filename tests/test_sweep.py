@@ -33,8 +33,8 @@ TENT_SMALL = dataclasses.replace(SMALL, map="tent", noise_mode="output", algorit
 # each other, so only these catch a byte drift that every run shares; a
 # change that moves them changes the sweep's output and must say why.
 CSV_SHA256 = {
-    "logistic": "5f47de6a855540a67031b0bbe365dc122a3707be59c631d42dd8ce0721146724",
-    "tent": "f035998186a113ee349a6eda57712d9faf7ad025a15fcd35b49da35ed0178ec6",
+    "logistic": "40c9b70071d228e13686cc1035ae2b1e6e369f38a1b4614882024f41d57930d8",
+    "tent": "000da354cba534abda94476cfabd28a7769f9c3e3480f39715cefc0a4e94d931",
 }
 
 
@@ -185,6 +185,45 @@ class TestSharedOrbit:
         assert Counter(int(line) for line in log.read_text().split()) == {
             companion_seed(SMALL.seed): 1,
             **{orbit_seed(SMALL.seed, si): slices for si in range(len(SMALL.sigma))},
+        }
+
+
+class TestSharedProbe:
+    def test_one_probe_per_sigma(self, monkeypatch):
+        calls = []
+        probe = epsent.sweep.mismatch_probe
+
+        def recording(spec, noise, samples, burn_in):
+            calls.append((noise.seed, samples, burn_in))
+            return probe(spec, noise, samples, burn_in)
+
+        monkeypatch.setattr(epsent.sweep, "mismatch_probe", recording)
+        config = dataclasses.replace(SMALL, burn_in=700)
+        run_grid(config)
+        assert calls == [
+            (orbit_seed(config.seed, si), config.p_samples, config.burn_in)
+            for si in range(len(config.sigma))
+        ]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers see the recording probe builder only when forked",
+    )
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_each_sigma_probe_built_once_per_slice(self, monkeypatch, tmp_path, workers):
+        log = tmp_path / "probes.txt"
+        probe = epsent.sweep.mismatch_probe
+
+        def recording(spec, noise, samples, burn_in):
+            with open(log, "a") as fh:
+                fh.write(f"{noise.seed}\n")
+            return probe(spec, noise, samples, burn_in)
+
+        monkeypatch.setattr(epsent.sweep, "mismatch_probe", recording)
+        run_grid(dataclasses.replace(SMALL, workers=workers))
+        slices = min(workers, len(SMALL.n_list))
+        assert Counter(int(line) for line in log.read_text().split()) == {
+            orbit_seed(SMALL.seed, si): slices for si in range(len(SMALL.sigma))
         }
 
 
