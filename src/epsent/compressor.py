@@ -12,6 +12,16 @@ Two reversible coders over an alphabet {0..N-1} share one stream format:
   a bare parent index; the decoder recognizes it because the header carries
   the symbol count.
 
+  The encoder works in two passes.  The parse grows the trie and nothing
+  else; phrase k's trie edge is the k-th key inserted, so the edges give
+  every phrase's (parent, symbol) pair in order.  The fields are then coded
+  in numpy.  The parent's unused symbols at phrase k are all symbols but
+  those of the earlier phrases with the same parent, so the symbol's rank
+  among them is s - smaller[k] over N - older[k] values, where older[k]
+  counts those earlier siblings and smaller[k] the ones with a symbol below
+  s.  Neither needs the parse's state: a stable sort by parent gives older,
+  and a merge sort of each sibling group by symbol gives smaller.
+
 * ``castore`` - pair concatenation.  The dictionary is seeded with the N
   single symbols; each step greedily matches the longest dictionary word u,
   then the longest dictionary word v of the remainder, emits the two indices
@@ -86,7 +96,8 @@ class BitWriter:
     """Collects big-endian-within-byte bit fields of up to 64 bits each.
 
     Fields are stored as two typed arrays, ``values`` and ``widths``, which
-    the encoders append to directly; :meth:`getvalue` packs them all at once.
+    castore appends to directly and lz78 fills through :meth:`extend`;
+    :meth:`getvalue` packs them all at once.
     """
 
     def __init__(self) -> None:
@@ -100,6 +111,24 @@ class BitWriter:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
         self.values.append(value)
         self.widths.append(nbits)
+
+    def extend(self, values: np.ndarray, widths: np.ndarray) -> None:
+        """Append the fields (values[i], widths[i]), checked as :meth:`write` checks one."""
+        values = np.asarray(values)
+        widths = np.asarray(widths, dtype=np.int64)
+        if values.shape != widths.shape:
+            raise ValueError(f"{values.size} values for {widths.size} widths")
+        bad = (widths < 0) | (widths > 64)
+        if bad.any():
+            raise ValueError(f"field width {widths[bad][0]} outside [0, 64]")
+        wide = values.astype(np.uint64)
+        shift = np.minimum(widths, 63).astype(np.uint64)
+        bad = (values < 0) | ((wide >> shift != 0) & (widths < 64))
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise ValueError(f"value {values[i]} does not fit in {widths[i]} bits")
+        self.values.frombytes(wide.tobytes())
+        self.widths.frombytes(widths.astype(np.uint8).tobytes())
 
     @property
     def bits_written(self) -> int:
@@ -240,11 +269,53 @@ def _finish(
     return stream, report
 
 
-def _phase_in(x: int, n: int) -> tuple[int, int]:
-    """(code, bit count) of x in the phase-in code over n values."""
-    b = n.bit_length() - 1
+def _phase_in(x: np.ndarray | int, n: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+    """(code, bit count) of x in the phase-in code over n values, elementwise."""
+    b = np.frexp(n)[1] - 1
     u = (2 << b) - n
-    return (x, b) if x < u else (x + u, b + 1)
+    long = x >= u
+    return x + u * long, b + long
+
+
+def _earlier_siblings(parents: np.ndarray, syms: np.ndarray, nsym: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per phrase k: (older[k], smaller[k]) over the earlier phrases with k's parent.
+
+    older counts them all, smaller those with a smaller extension symbol.
+    Grouped by parent in phrase order, older is k's position in its sibling
+    group.  smaller is summed level by level, as in a bottom-up merge sort
+    of each group by symbol over blocks of B = 1, 2, 4, ... phrases: a phrase
+    in the right half of a 2B-block has as many left-half siblings with a
+    smaller symbol as its symbol rank rises from its B-block to its
+    2B-block.  One argsort per level ranks all 2B-blocks at once.  Only
+    groups larger than B stay live at level B; a group holds at most nsym
+    phrases, so there are at most ceil(log2 nsym) levels.
+    """
+    count = parents.size
+    sizes = np.bincount(parents)
+    group = sizes[parents]
+    # the stable order by parent; unique keys let the faster unstable sort do it
+    grouped = np.argsort(parents.astype(np.int64) << 32 | np.arange(count))
+    older = np.empty(count, dtype=np.int32)
+    older[grouped] = np.arange(count) - (np.cumsum(sizes) - sizes)[parents[grouped]]
+    smaller = np.zeros(count, dtype=np.int32)
+    live = grouped[group[grouped] > 1]
+    rank = np.zeros(live.size, dtype=np.int64)  # by symbol within the B-block
+    block = 1
+    while live.size:
+        pos = older[live]
+        at = np.arange(live.size)
+        # a live phrase's 2B-block starts `offset` places before it in `live`;
+        # sorting by (block start, symbol) keeps every block in its places
+        offset = pos & (2 * block - 1)
+        new_rank = np.empty_like(at)
+        new_rank[np.argsort((at - offset) * nsym + syms[live])] = at
+        new_rank += offset - at
+        right = (pos & block) != 0
+        smaller[live[right]] += (new_rank - rank)[right]
+        block *= 2
+        keep = group[live] > block
+        live, rank = live[keep], new_rank[keep]
+    return older, smaller
 
 
 def lz78_encode(
@@ -253,59 +324,38 @@ def lz78_encode(
 ) -> tuple[bytes, CompressionReport]:
     """Incremental-parse encode; returns the bitstream and its report."""
     symbols, nsym = _as_symbols(seq, alphabet_size)
-    writer = BitWriter()
-    put_value = writer.values.append
-    put_width = writer.widths.append
-    # phase-in code over all nsym symbols, for parents with no child yet
-    fresh_b = nsym.bit_length() - 1
-    fresh_u = (2 << fresh_b) - nsym
-
-    # edge (phrase, symbol s) is keyed phrase * nsym + s
+    # pass 1, the parse: edge (phrase, symbol s) is keyed phrase * nsym + s
+    # and maps to the child's own base key, child phrase * nsym
     trie: dict[int, int] = {}
-    used = [0]  # per phrase: bitmask of the symbols it has been extended by
-    node = 0
-    next_phrase = 1
-    # phase-in code over next_phrase parent values: b bits, first u values short
-    parent_b = 0
-    parent_u = 1
     get = trie.get
-    for s in symbols.tolist():
-        key = node * nsym + s
-        child = get(key)
-        if child is not None:
-            node = child
-            continue
-        if node < parent_u:
-            code, nbits = node, parent_b
-        else:
-            code, nbits = node + parent_u, parent_b + 1
-        mask = used[node]
-        if mask:
-            rank = s - (mask & ((1 << s) - 1)).bit_count()
-            free = nsym - mask.bit_count()
-            sb = free.bit_length() - 1
-            su = (2 << sb) - free
-        else:
-            rank, sb, su = s, fresh_b, fresh_u
-        if rank < su:
-            put_value((code << sb) | rank)
-            put_width(nbits + sb)
-        else:
-            put_value((code << (sb + 1)) | (rank + su))
-            put_width(nbits + sb + 1)
-        used[node] = mask | (1 << s)
-        used.append(0)
-        trie[key] = next_phrase
-        next_phrase += 1
-        parent_u -= 1
-        if not parent_u:
-            parent_b += 1
-            parent_u = next_phrase
-        node = 0
-    del trie, used
-    phrase_count = next_phrase - 1
-    if node != 0:
-        writer.write(*_phase_in(node, next_phrase))
+    node = 0
+    base = nsym  # base key of the next new phrase
+    for s in memoryview(symbols):
+        key = node + s
+        node = get(key, 0)
+        if not node:  # a new phrase; the next one starts at the root, key 0
+            trie[key] = base
+            base += nsym
+    # phrase k's edge is the k-th key inserted
+    edges = np.fromiter(trie, dtype=np.int64, count=len(trie))
+    del trie, get
+    parents, syms = (part.astype(np.int32) for part in np.divmod(edges, nsym))
+    del edges
+
+    # pass 2, the fields: phrase k's parent over k values, then its symbol's
+    # rank among the parent's unused symbols
+    older, smaller = _earlier_siblings(parents, syms, nsym)
+    code, width = _phase_in(parents, np.arange(1, parents.size + 1, dtype=np.int32))
+    rank, rank_width = _phase_in(syms - smaller, nsym - older)
+    del older, smaller, parents, syms
+    writer = BitWriter()
+    writer.extend(
+        code.astype(np.uint64) << rank_width.astype(np.uint64) | rank.astype(np.uint64),
+        width + rank_width,
+    )
+    phrase_count = code.size
+    if node:
+        writer.write(*map(int, _phase_in(node // nsym, base // nsym)))
         phrase_count += 1
     return _finish(writer, nsym, symbols, "lz78", phrase_count)
 

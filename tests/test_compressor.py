@@ -33,6 +33,44 @@ def phase_in_bits(x: int, n: int) -> int:
     return b if x < 2 ** (b + 1) - n else b + 1
 
 
+def phase_in_code(x: int, n: int) -> tuple[int, int]:
+    """(code, bit count) of value x in the phase-in code over n values."""
+    b = n.bit_length() - 1
+    u = 2 ** (b + 1) - n
+    return (x, b) if x < u else (x + u, b + 1)
+
+
+def reference_lz78_stream(symbols, alphabet_size: int) -> bytes:
+    """The lz78 stream, coded phrase by phrase as the parse closes each one.
+
+    A per-phrase bitmask holds the symbols the phrase has been extended by:
+    the new symbol's rank is its count of unused symbols below it, over the
+    parent's unused symbols.  This is the format's definition, written as a
+    per-phrase loop; ``lz78_encode`` must give the same bytes.
+    """
+    writer = BitWriter()
+    trie: dict[tuple[int, int], int] = {}
+    used = [0]  # per phrase: bitmask of the symbols it has been extended by
+    node = 0
+    for s in symbols:
+        child = trie.get((node, s))
+        if child is not None:
+            node = child
+            continue
+        phrase = len(used)  # also the number of possible parents
+        mask = used[node]
+        writer.write(*phase_in_code(node, phrase))
+        rank = s - (mask & ((1 << s) - 1)).bit_count()
+        writer.write(*phase_in_code(rank, alphabet_size - mask.bit_count()))
+        used[node] = mask | (1 << s)
+        used.append(0)
+        trie[node, s] = phrase
+        node = 0
+    if node:
+        writer.write(*phase_in_code(node, len(used)))
+    return _pack_header(alphabet_size, len(symbols), "lz78") + writer.getvalue()
+
+
 def constant_parse_oracle(n: int, alphabet_size: int) -> tuple[int, int]:
     """Closed-form phrase count and bit length for a constant input.
 
@@ -99,9 +137,13 @@ class TestLz78HandParses:
 
 
 def pinned_inputs() -> dict[str, tuple[np.ndarray, int]]:
-    """Fixed seeded inputs: iid at N = 2, 16 and 250, a constant run, nothing."""
+    """Fixed seeded inputs: iid at N = 2, 16, 250, 1000 and 65535, a constant run, nothing."""
     rng = np.random.default_rng(20240618)
     cases = {f"iid{n}": (rng.integers(0, n, size=20_000, dtype=np.int32), n) for n in (2, 16, 250)}
+    # wide alphabets draw from their own generator, so the inputs above stay put
+    wide = np.random.default_rng(20240619)
+    for n in (1000, 65535):
+        cases[f"iid{n}"] = (wide.integers(0, n, size=20_000, dtype=np.int32), n)
     cases["constant"] = (np.full(20_000, 3, dtype=np.int32), 5)
     cases["empty"] = (np.zeros(0, dtype=np.int32), 2)
     return cases
@@ -116,6 +158,8 @@ PINNED_STREAMS = {
     ("iid16", "castore"): ("30484a99b004a9e805dc35c95ea9eaa209525edce1c235cc468d0d0e1b5fd0f9", 112114, 4925),
     ("iid250", "lz78"): ("55ed17f4c0466de7b63d3bbe018e9525c8d6af7dfebb8efa5d5f039547f8d117", 189441, 9796),
     ("iid250", "castore"): ("9136145a0d8373fcb0953177c442635fed881094fc18085d590af5a6a4eaccb5", 233372, 9375),
+    ("iid1000", "lz78"): ("4a4e18ebe59c6fdfb429e4dd6e06ffce233049d16224b90f76347703aecf5437", 225525, 10481),
+    ("iid65535", "lz78"): ("d91dfda2f55e0de8bae2231c9028473136ebe978f0c00383d4c7ae028fbb6b31", 498303, 17732),
     ("constant", "lz78"): ("cc547f54283390303baf079383f4e0a7a6a012789cc7e3ff19762d0b25a8bc76", 2070, 200),
     ("constant", "castore"): ("531fd068049e3966839a11a48bae04a368803f2dd4baa142ba248567f832c620", 260, 16),
     ("empty", "lz78"): ("2d6fdc3599ab30fdd6e51b3f7c322ca24e86a213207c8d997de1a19bc15e4ba8", 128, 0),
@@ -134,6 +178,55 @@ class TestPinnedStreams:
         assert rep.encoded_bits == bits
         assert rep.phrase_count == phrases
         assert len(stream) == (bits + 7) // 8
+
+
+@st.composite
+def lz78_inputs(draw):
+    """(N, symbols) with N in 2..300 and at most 2000 symbols.
+
+    Runs over a few letters give deep phrases, constant runs and inputs that
+    stop inside a phrase; plain draws over all N symbols give wide sibling
+    groups.
+    """
+    n = draw(st.integers(2, 300))
+    if draw(st.booleans()):
+        return n, draw(st.lists(st.integers(0, n - 1), max_size=2000))
+    letters = st.sampled_from(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))
+    runs = draw(st.lists(st.tuples(letters, st.integers(1, 80)), max_size=80))
+    return n, [a for a, length in runs for _ in range(length)][:2000]
+
+
+class TestReferenceEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(lz78_inputs())
+    @example((2, []))
+    @example((2, [0] * 11))  # phrases 0, 00, 000, 0000, then 0 mid-phrase
+    @example((3, [2] * 2000))
+    @example((300, list(range(300)) * 6 + [7, 8]))
+    def test_property_matches_reference(self, case):
+        n, symbols = case
+        stream, _ = lz78_encode(symbols, alphabet_size=n)
+        assert stream == reference_lz78_stream(symbols, n)
+
+    @pytest.mark.parametrize("n", [257, 1000, 65535])
+    def test_seeded_fuzz_wide_alphabets(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(12):
+            letters = rng.choice(n, size=int(rng.integers(2, min(n, 4000) + 1)), replace=False)
+            symbols = letters[rng.integers(0, letters.size, size=int(rng.integers(0, 6000)))]
+            stream, rep = lz78_encode(symbols.astype(np.int32), alphabet_size=n)
+            assert stream == reference_lz78_stream(symbols.tolist(), n)
+            assert np.array_equal(decode(stream)[0].symbols, symbols)
+            assert rep.phrase_count <= symbols.size
+
+    @pytest.mark.parametrize("symbols, writes", [([0, 1, 0, 1, 0, 1, 0, 1], 1), ([0, 1, 0, 0], 0)])
+    def test_only_a_partial_phrase_is_written_singly(self, monkeypatch, symbols, writes):
+        calls = []
+        write = BitWriter.write
+        monkeypatch.setattr(BitWriter, "write", lambda self, *a: calls.append(a) or write(self, *a))
+        stream, _ = lz78_encode(symbols, alphabet_size=2)
+        assert len(calls) == writes
+        assert stream == reference_lz78_stream(symbols, 2)
 
 
 class TestRoundTrips:
@@ -335,6 +428,15 @@ class TestMalformedStreams:
             decode(b"EPSC\x01")
 
 
+# (value, width) fields of every width from 0 to 64
+bit_fields = st.lists(
+    st.one_of(st.sampled_from([0, 1, 63, 64]), st.integers(0, 64)).flatmap(
+        lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))
+    ),
+    max_size=80,
+)
+
+
 class TestBitIO:
     def test_write_read_cycle(self):
         writer = BitWriter()
@@ -352,15 +454,44 @@ class TestBitIO:
         with pytest.raises(ValueError):
             BitWriter().write(1, 65)
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(st.sampled_from([0, 1, 63, 64]), st.integers(0, 64)).flatmap(
-                lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))
-            ),
-            max_size=80,
+    @settings(max_examples=200, deadline=None)
+    @given(bit_fields)
+    @example([((1 << 64) - 1, 64), (0, 0), (1, 1)])
+    def test_extend_matches_write(self, fields):
+        # between single writes, so the bulk fields start and end mid-byte
+        one_by_one = BitWriter()
+        for value, nbits in [(5, 3), *fields, (1, 1)]:
+            one_by_one.write(value, nbits)
+        bulk = BitWriter()
+        bulk.write(5, 3)
+        bulk.extend(
+            np.array([value for value, _ in fields], dtype=np.uint64),
+            np.array([nbits for _, nbits in fields], dtype=np.int64),
         )
-    )
+        bulk.write(1, 1)
+        assert bulk.getvalue() == one_by_one.getvalue()
+        assert bulk.bits_written == one_by_one.bits_written
+
+    def test_extend_rejects_width_65(self):
+        writer = BitWriter()
+        with pytest.raises(ValueError, match="width 65"):
+            writer.extend(np.array([1, 1]), np.array([3, 65]))
+        with pytest.raises(ValueError, match="width -1"):
+            writer.extend(np.array([0]), np.array([-1]))
+        assert writer.bits_written == 0
+
+    def test_extend_rejects_value_too_wide(self):
+        writer = BitWriter()
+        with pytest.raises(ValueError, match="value 4 does not fit in 2 bits"):
+            writer.extend(np.array([3, 4], dtype=np.uint64), np.array([2, 2]))
+        with pytest.raises(ValueError, match="value -1 does not fit in 64 bits"):
+            writer.extend(np.array([-1]), np.array([64]))
+        with pytest.raises(ValueError):
+            writer.extend(np.array([1, 2]), np.array([2]))
+        assert writer.bits_written == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(bit_fields)
     @example([])
     @example([(1, 1)] * 63 + [((1 << 64) - 1, 64), (0, 0), (5, 3)])
     def test_packed_fields_match_a_bit_string(self, fields):
