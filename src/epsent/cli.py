@@ -133,7 +133,7 @@ def _extend_symbols(out: array, tokens: list[str]) -> None:
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     symbols = _read_symbols(args.input)
-    encoder = compressor.lz78_encode if args.algorithm == "lz78" else compressor.castore_encode
+    encoder = getattr(compressor, compressor.ENCODERS[args.algorithm])
     stream, report = encoder(symbols, alphabet_size=args.cells)
     with open(args.output, "wb") as fh:
         fh.write(stream)

@@ -29,6 +29,14 @@ Two reversible coders over an alphabet {0..N-1} share one stream format:
   current dictionary size D; index 0 is reserved to mark a final phrase with
   no second component.
 
+  The encoder works in two passes as well.  The parse walks and grows the
+  trie and records, per phrase, the nodes of u, v and the new word u+v.
+  The u-walk runs on past u to where the trie ends, which is as far into v
+  as u+v already exists, so the insert only adds nodes from there.  A
+  word's index is the order in which its node became a word, so the
+  indices and the records' widths, ceil(log2(N+k+1)) bits for phrase k,
+  are then computed in numpy.
+
 A phase-in code over n values with b = floor(log2 n) and u = 2**(b+1) - n
 writes a value x < u in b bits and any other x as x + u in b + 1 bits.
 
@@ -63,6 +71,11 @@ MAX_ALPHABET = 0xFFFF  # the header stores the alphabet size as u16
 MAX_SYMBOLS = 1 << 24
 # the header's algorithm id is the index into this tuple
 ALGORITHMS = ("lz78", "castore")
+# each algorithm's encoder, by the name a caller looks up at call time, so a
+# name rebound after import (a tracing wrapper, say) is the one that runs
+ENCODERS = {name: f"{name}_encode" for name in ALGORITHMS}
+# castore's walks read one symbol past the input; no trie key is negative
+_SENTINEL = -(1 << 62)
 
 
 class DecodeError(ValueError):
@@ -96,8 +109,8 @@ class BitWriter:
     """Collects big-endian-within-byte bit fields of up to 64 bits each.
 
     Fields are stored as two typed arrays, ``values`` and ``widths``, which
-    castore appends to directly and lz78 fills through :meth:`extend`;
-    :meth:`getvalue` packs them all at once.
+    both encoders fill through :meth:`extend`; :meth:`getvalue` packs them
+    all at once.
     """
 
     def __init__(self) -> None:
@@ -408,71 +421,89 @@ def castore_encode(
 ) -> tuple[bytes, CompressionReport]:
     """Pair-concatenation encode; returns the bitstream and its report."""
     symbols, nsym = _as_symbols(seq, alphabet_size)
-    writer = BitWriter()
-    put_value = writer.values.append
-    put_width = writer.widths.append
+    n = symbols.size
+    # a sentinel past the end forms no key, so the walks need no bounds test
     syms = symbols.tolist()
-
-    # edge (node, symbol s) is keyed node * nsym + s; node_word[node] is the
-    # index of the word ending at that node, 0 where none does
-    trie = {s: s + 1 for s in range(nsym)}
-    node_word = list(range(nsym + 1))
+    syms.append(_SENTINEL)
+    # pass 1, the parse: edge (node, symbol s) is keyed node * nsym + s and
+    # maps to the child's base key, child node * nsym, negated when the child
+    # ends a dictionary word.  Nodes 1..nsym are the single symbols.
+    trie = {s: -(s + 1) * nsym for s in range(nsym)}
     get = trie.get
-    next_node = nsym + 1
-
-    dict_size = nsym
-    phrase_count = 0
+    next_base = (nsym + 1) * nsym
+    # per phrase, the base keys of u's node, v's node and the new word's node;
+    # a final phrase with no v gives u's and 0
+    nodes = array("q")
+    put = nodes.append
     pos = 0
-    n = len(syms)
     while pos < n:
-        width = _bit_width(dict_size + 1)
-        phrase_count += 1
-        # u: the longest dictionary word at pos, ending at trie node u_node
-        u = u_node = 0
-        node = 0
-        j = end = pos
-        while j < n:
-            node = get(node * nsym + syms[j])
-            if node is None:
-                break
-            j += 1
-            if node_word[node]:
-                u = node_word[node]
-                u_node = node
-                end = j
-        if end == n:
-            put_value(u << width)
-            put_width(2 * width)
-            break
-        # v: the longest dictionary word after u
-        v = 0
-        node = 0
-        j = v_start = end
-        while j < n:
-            node = get(node * nsym + syms[j])
-            if node is None:
-                break
-            j += 1
-            if node_word[node]:
-                v = node_word[node]
-                end = j
-        put_value((u << width) | v)
-        put_width(2 * width)
-        # insert u+v: u is already a path from the root, so extend from u_node
-        node = u_node
-        for j in range(v_start, end):
-            key = node * nsym + syms[j]
-            child = get(key)
+        # u: the longest word at pos; the walk goes on to where the trie ends
+        base = 0
+        j = pos
+        while True:
+            child = get(base + syms[j])
             if child is None:
-                trie[key] = child = next_node
-                node_word.append(0)
-                next_node += 1
-            node = child
-        dict_size += 1
-        node_word[node] = dict_size
+                break
+            j += 1
+            if child < 0:
+                base = u = -child
+                u_end = j
+            else:
+                base = child
+        if u_end == n:
+            put(u)
+            put(0)
+            break
+        stop, stop_base = j, base
+        # v: the longest word after u
+        base = 0
+        j = u_end
+        while True:
+            child = get(base + syms[j])
+            if child is None:
+                break
+            j += 1
+            if child < 0:
+                base = v = -child
+                end = j
+            else:
+                base = child
+        # insert u+v.  The u-walk already followed it up to `stop`, where the
+        # trie ends, so past `stop` every node is new
+        if end > stop:
+            base = stop_base
+            for j in range(stop, end - 1):
+                trie[base + syms[j]] = next_base
+                base = next_base
+                next_base += nsym
+            trie[base + syms[end - 1]] = -next_base
+            word = next_base
+            next_base += nsym
+        else:  # u+v is an inner node: walk to it from u and make it a word
+            # (no node between u and u+v is a word, or u would be longer)
+            base = u
+            for j in range(u_end, end - 1):
+                base = trie[base + syms[j]]
+            key = base + syms[end - 1]
+            word = trie[key]
+            trie[key] = -word
+        put(u)
+        put(v)
+        put(word)
         pos = end
-    del trie, node_word, syms
-    return _finish(writer, nsym, symbols, "castore", phrase_count)
+    del trie, get, syms
+
+    # pass 2, the fields: a word's index is the order in which its node
+    # became a word, and phrase k's two fields take (nsym + k).bit_length() bits
+    nodes = np.frombuffer(nodes, dtype=np.int64) // nsym
+    u, v, new = nodes[0::3], nodes[1::3], nodes[2::3]
+    index = np.zeros(next_base // nsym, dtype=np.int64)
+    index[1 : nsym + 1] = np.arange(1, nsym + 1)
+    index[new] = np.arange(nsym + 1, nsym + 1 + new.size)
+    width = np.frexp(np.arange(nsym, nsym + u.size, dtype=np.int64))[1]
+    writer = BitWriter()
+    writer.extend(index[u] << width | index[v], 2 * width)
+    return _finish(writer, nsym, symbols, "castore", int(u.size))
 
 
 def _castore_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> np.ndarray:

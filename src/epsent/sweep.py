@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import BoundSet, envelope, noise_density_bound
-from .compressor import castore_encode, lz78_encode
+from .compressor import ENCODERS, castore_encode, lz78_encode
 from .config import RunConfig
 from .dynamics import MapSpec, NoiseSpec, RealOrbit, sample_invariant_orbit
 from .estimators import (
@@ -188,8 +188,8 @@ def _cell_task(
 
         seq = encode(orbit, part)
 
-        encoder = lz78_encode if config.algorithm == "lz78" else castore_encode
-        _, report = encoder(seq)
+        # the coder names imported above, looked up as this module's globals
+        _, report = globals()[ENCODERS[config.algorithm]](seq)
 
         block_depth = (
             config.max_block

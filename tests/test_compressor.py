@@ -71,6 +71,56 @@ def reference_lz78_stream(symbols, alphabet_size: int) -> bytes:
     return _pack_header(alphabet_size, len(symbols), "lz78") + writer.getvalue()
 
 
+def reference_castore_stream(symbols, alphabet_size: int) -> bytes:
+    """The castore stream, coded pair by pair as the parse finds each one.
+
+    Trie nodes carry the index of the word ending there (0 where none does);
+    each step walks u and v from the root and inserts u+v from u's node.
+    This is the format's definition, written as a per-phrase loop;
+    ``castore_encode`` must give the same bytes.
+    """
+    writer = BitWriter()
+    syms = list(symbols)
+    nsym = alphabet_size
+    trie = {(0, s): s + 1 for s in range(nsym)}
+    node_word = list(range(nsym + 1))
+    dict_size = nsym
+    pos = 0
+    n = len(syms)
+
+    def longest_word(start):
+        """(word index, its node, its end) of the longest word at start."""
+        word = word_node = 0
+        node = 0
+        j = end = start
+        while j < n and (node, syms[j]) in trie:
+            node = trie[node, syms[j]]
+            j += 1
+            if node_word[node]:
+                word, word_node, end = node_word[node], node, j
+        return word, word_node, end
+
+    while pos < n:
+        width = dict_size.bit_length()  # indices 0..dict_size
+        u, node, end = longest_word(pos)
+        if end == n:
+            writer.write(u, width)
+            writer.write(0, width)
+            break
+        v, _, v_end = longest_word(end)
+        writer.write(u, width)
+        writer.write(v, width)
+        for j in range(end, v_end):
+            if (node, syms[j]) not in trie:
+                trie[node, syms[j]] = len(node_word)
+                node_word.append(0)
+            node = trie[node, syms[j]]
+        dict_size += 1
+        node_word[node] = dict_size
+        pos = v_end
+    return _pack_header(alphabet_size, n, "castore") + writer.getvalue()
+
+
 def constant_parse_oracle(n: int, alphabet_size: int) -> tuple[int, int]:
     """Closed-form phrase count and bit length for a constant input.
 
@@ -181,7 +231,7 @@ class TestPinnedStreams:
 
 
 @st.composite
-def lz78_inputs(draw):
+def coder_inputs(draw):
     """(N, symbols) with N in 2..300 and at most 2000 symbols.
 
     Runs over a few letters give deep phrases, constant runs and inputs that
@@ -198,7 +248,7 @@ def lz78_inputs(draw):
 
 class TestReferenceEncoder:
     @settings(max_examples=200, deadline=None)
-    @given(lz78_inputs())
+    @given(coder_inputs())
     @example((2, []))
     @example((2, [0] * 11))  # phrases 0, 00, 000, 0000, then 0 mid-phrase
     @example((3, [2] * 2000))
@@ -227,6 +277,39 @@ class TestReferenceEncoder:
         stream, _ = lz78_encode(symbols, alphabet_size=2)
         assert len(calls) == writes
         assert stream == reference_lz78_stream(symbols, 2)
+
+
+class TestCastoreReference:
+    @settings(max_examples=200, deadline=None)
+    @given(coder_inputs())
+    @example((2, []))
+    @example((2, [0]))  # a lone u and nothing else
+    @example((2, [0, 0, 0]))  # "0" + "0", then a final lone u
+    @example((2, [0, 0]))  # the v-walk reaches the end of the input
+    # the last u-walk follows "10", an inner node, to the end of the input;
+    # v = "0" stops there, so u+v = "10" is made a word in place
+    @example((2, [0, 0, 1, 0, 0, 1, 0]))
+    # as above, but the u-walk stops at "101" inside the input, and a lone
+    # "1" follows
+    @example((2, [0, 0, 1, 0, 0, 1, 0, 1]))
+    @example((3, [2] * 2000))
+    @example((300, list(range(300)) * 6 + [7, 8]))
+    def test_property_matches_reference(self, case):
+        n, symbols = case
+        stream, rep = castore_encode(symbols, alphabet_size=n)
+        assert stream == reference_castore_stream(symbols, n)
+        assert rep.encoded_bits <= 8 * len(stream) < rep.encoded_bits + 8
+
+    @pytest.mark.parametrize("n", [2, 16, 257, 1000, 65535])
+    def test_seeded_fuzz(self, n):
+        rng = np.random.default_rng(n + 1)
+        for _ in range(12):
+            letters = rng.choice(n, size=int(rng.integers(1, min(n, 4000) + 1)), replace=False)
+            symbols = letters[rng.integers(0, letters.size, size=int(rng.integers(0, 6000)))]
+            stream, rep = castore_encode(symbols.astype(np.int32), alphabet_size=n)
+            assert stream == reference_castore_stream(symbols.tolist(), n)
+            assert np.array_equal(decode(stream)[0].symbols, symbols)
+            assert rep.phrase_count <= symbols.size
 
 
 class TestRoundTrips:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import epsent.cli
+import epsent.compressor
 import epsent.sweep
 from epsent.config import RunConfig
 
@@ -48,3 +50,39 @@ def test_sweep_stages_run_through_traced_names(tracing):
         while parent >= 0:
             assert tracer.spans[parent].name != "sweep.cell", "a cell built an orbit"
             parent = tracer.spans[parent].parent
+
+
+@pytest.mark.parametrize("algorithm", epsent.compressor.ALGORITHMS)
+def test_each_cell_encodes_through_its_traced_coder(tracing, algorithm):
+    config = RunConfig(
+        map="tent",
+        noise_mode="output",
+        algorithm=algorithm,
+        sigma=(0.1, 0.01),
+        n_list=(2, 4, 8),
+        length=2000,
+        p_samples=500,
+    )
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        epsent.sweep.run_grid(config)
+
+    cells = tracer.named("sweep.cell")
+    assert len(cells) == len(config.sigma) * len(config.n_list)
+    encodes = tracer.named(f"compressor.{algorithm}_encode")
+    assert [tracer.spans[span.parent] for span in encodes] == cells
+    for other in set(epsent.compressor.ALGORITHMS) - {algorithm}:
+        assert not tracer.named(f"compressor.{other}_encode")
+
+
+@pytest.mark.parametrize("algorithm", epsent.compressor.ALGORITHMS)
+def test_cli_compress_encodes_through_its_traced_coder(tracing, tmp_path, algorithm):
+    src = tmp_path / "symbols.txt"
+    src.write_text("0 1 1 0 1 0 0 0 1\n")
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        argv = ["compress", "--cells", "2", "--algorithm", algorithm, str(src), str(tmp_path / "out")]
+        assert epsent.cli.dispatch(argv) == 0
+
+    (encode,) = tracer.named(f"compressor.{algorithm}_encode")
+    assert tracer.spans[encode.parent].name == "cli.compress"
