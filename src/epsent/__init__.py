@@ -33,7 +33,6 @@ from .partition import (
     Partition,
     ResourceLimitError,
     SymbolicSequence,
-    empirical_cell_frequencies,
     encode,
     refine_cylinders,
 )

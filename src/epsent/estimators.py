@@ -6,6 +6,11 @@ is available but off by default.  The conditional entropy of depth n is the
 increment H_{n+1} - H_n, which converges to the per-symbol entropy rate much
 faster than H_n / n.
 
+Each call reads its block entropies off one word-rank ladder
+(:func:`~epsent.partition.block_counts`): H_1..H_D cost one pass per depth,
+never index the N^D word space, and sum each depth's counts in lexicographic
+word order.
+
 The one-step mismatch probability p that the bounds take is estimated in two
 steps: :func:`mismatch_probe` samples the perturbed system once, and
 :func:`estimate_p` compares cells on that sample for one partition.
@@ -26,7 +31,7 @@ from .dynamics import (
     iterate_map_array,
     sample_invariant_orbit,
 )
-from .partition import Partition, SymbolicSequence, encode, word_counts
+from .partition import Partition, SymbolicSequence, block_counts, encode
 from .seeds import PROBE_NOISE_STREAM, PROBE_ORBIT_STREAM, mix
 
 
@@ -39,13 +44,20 @@ def _entropy_from_counts(counts: np.ndarray, miller_madow: bool = False) -> floa
     return h
 
 
+def _block_entropies(
+    seq: SymbolicSequence, first: int, last: int, miller_madow: bool
+) -> list[float]:
+    """H_first..H_last, all from one word-rank ladder."""
+    return [_entropy_from_counts(c, miller_madow) for c in block_counts(seq, first, last)]
+
+
 def block_entropy(seq: SymbolicSequence, n: int, miller_madow: bool = False) -> float:
     """Plug-in entropy H_n of the sliding length-n word distribution."""
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
     _warn_if_undersampled(seq, n)
-    _, counts = word_counts(seq, n)
-    return _entropy_from_counts(counts, miller_madow)
+    (h,) = _block_entropies(seq, n, n, miller_madow)
+    return h
 
 
 def block_entropy_rate(seq: SymbolicSequence, n: int, miller_madow: bool = False) -> float:
@@ -61,8 +73,8 @@ def conditional_entropy(seq: SymbolicSequence, n: int, miller_madow: bool = Fals
     """
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
-    h_hi = block_entropy(seq, n + 1, miller_madow)
-    h_lo = block_entropy(seq, n, miller_madow)
+    _warn_if_undersampled(seq, n + 1)
+    h_lo, h_hi = _block_entropies(seq, n, n + 1, miller_madow)
     return min(max(h_hi - h_lo, 0.0), math.log2(seq.alphabet_size))
 
 
@@ -118,22 +130,21 @@ def choose_n0(
     deepest estimable one.
 
     The true entropy rate is the limit of the conditional entropies; the
-    deepest estimable value stands in for it.  If no depth qualifies, the
-    maximum depth is returned with ``converged=False``.
+    deepest estimable value stands in for it, so some depth always
+    qualifies.  ``converged`` says whether a deeper depth confirmed n0: it
+    is False when n0 is ``max_depth`` itself.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     if max_depth is None:
         max_depth = default_max_block(len(seq), seq.alphabet_size) - 1
     max_depth = max(1, max_depth)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ces = [conditional_entropy(seq, d, miller_madow) for d in range(1, max_depth + 1)]
+    hs = _block_entropies(seq, 1, max_depth + 1, miller_madow)
+    top = math.log2(seq.alphabet_size)
+    ces = [min(max(h_hi - h_lo, 0.0), top) for h_lo, h_hi in zip(hs, hs[1:])]
     target = ces[-1]
-    for depth, ce in enumerate(ces, start=1):
-        if abs(ce - target) <= delta:
-            return DepthSelection(depth, abs(ce - target), True, tuple(ces))
-    return DepthSelection(max_depth, abs(ces[-1] - target), False, tuple(ces))
+    n0 = next(d for d, ce in enumerate(ces, start=1) if abs(ce - target) <= delta)
+    return DepthSelection(n0, abs(ces[n0 - 1] - target), n0 < max_depth, tuple(ces))
 
 
 def mismatch_probe(spec: MapSpec, noise: NoiseSpec, samples: int, burn_in: int) -> np.ndarray:

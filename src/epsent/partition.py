@@ -5,7 +5,8 @@ so every point of [0,1] lands in exactly one cell.  Refining a partition under
 a piecewise monotone map yields the cylinder intervals of depth n: maximal
 intervals of initial conditions sharing a length-n symbol word.  These are
 computed exactly by pulling cell endpoints back through the monotone branch
-inverses, never from sampled data.
+inverses, never from sampled data.  The sliding-window word counts of a
+symbolic sequence come from one word-rank ladder (:func:`block_counts`).
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .dynamics import MapSpec, RealOrbit, map_branches
 
 _WIDTH_TOL = 1e-14
 _TOUCH_TOL = 1e-12
-# largest number of distinct words that int64 window ids may index
-MAX_WORD_SPACE = 2**62
 
 
 class ResourceLimitError(RuntimeError):
@@ -147,50 +146,41 @@ def refine_cylinders(
     return CylinderSet(depth=n, intervals=merged, min_diameter=min_diam)
 
 
-def sliding_word_ids(symbols: np.ndarray, block_len: int, alphabet_size: int) -> np.ndarray:
-    """Integer id of every length-``block_len`` window, base ``alphabet_size``."""
-    length = symbols.size
-    if block_len < 1:
-        raise ValueError(f"block length must be >= 1, got {block_len}")
-    if length < block_len:
-        raise ValueError(f"sequence of length {length} has no {block_len}-blocks")
-    if alphabet_size**block_len > MAX_WORD_SPACE:
-        raise ResourceLimitError(
-            f"word space {alphabet_size}^{block_len} too large to index"
-        )
-    count = length - block_len + 1
-    ids = np.zeros(count, dtype=np.int64)
-    for j in range(block_len):
-        ids *= alphabet_size
-        ids += symbols[j : j + count]
-    return ids
+def block_counts(seq: SymbolicSequence, first: int, last: int) -> list[np.ndarray]:
+    """Sliding-window word counts for each block length ``first..last``,
+    each in lexicographic word order.
 
-
-def word_counts(seq: SymbolicSequence, block_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct window ids and their counts for length-``block_len`` windows."""
-    ids = sliding_word_ids(seq.symbols, block_len, seq.alphabet_size)
-    space = seq.alphabet_size**block_len
-    if space <= 2**24:
-        counts = np.bincount(ids, minlength=space)
-        nonzero = np.nonzero(counts)[0]
-        return nonzero.astype(np.int64), counts[nonzero]
-    uniq, counts = np.unique(ids, return_counts=True)
-    return uniq, counts
-
-
-def empirical_cell_frequencies(
-    seq: SymbolicSequence, block_len: int
-) -> dict[tuple[int, ...], float]:
-    """Sliding-window frequency of every observed length-``block_len`` word."""
-    ids, counts = word_counts(seq, block_len)
-    total = counts.sum()
-    base = seq.alphabet_size
-    table: dict[tuple[int, ...], float] = {}
-    for wid, cnt in zip(ids.tolist(), counts.tolist()):
-        digits = []
-        v = wid
-        for _ in range(block_len):
-            digits.append(v % base)
-            v //= base
-        table[tuple(reversed(digits))] = cnt / total
-    return table
+    Counted on one word-rank ladder: the ids of the d-words extend to the
+    (d+1)-words as ``ids[:-1] * N + x[d:]``, which keeps their order.  Ids
+    below twice the sequence length are counted in place, which beats
+    sorting them; larger ones are sorted.  Before the next depth's ids could
+    pass that limit, the distinct words are renumbered 0..K-1, so no N^d
+    word space is ever indexed.
+    """
+    if not 1 <= first <= last:
+        raise ValueError(f"block lengths must satisfy 1 <= first <= last, got {first}..{last}")
+    x, n = seq.symbols, seq.alphabet_size
+    if x.size < last:
+        raise ValueError(f"sequence of length {x.size} has no {last}-blocks")
+    limit = 2 * x.size
+    ids, bound = x.astype(np.int64), n  # ids of the d-words, all below bound
+    out: list[np.ndarray] = []
+    for d in range(1, last + 1):
+        if d > 1:
+            ids = ids[:-1]
+            ids *= n
+            ids += x[d - 1 :]
+            bound *= n
+        renumber = d < last and bound * n > limit
+        if bound > limit:
+            _, ids, counts = np.unique(ids, return_inverse=True, return_counts=True)
+            bound = len(counts)
+        elif d >= first or renumber:
+            counts = np.bincount(ids, minlength=bound)
+            seen = counts != 0
+            counts = counts[seen]
+            if renumber:
+                ids, bound = (np.cumsum(seen) - 1)[ids], len(counts)
+        if d >= first:
+            out.append(counts)
+    return out

@@ -105,10 +105,13 @@ class TestConfigLoading:
             RunConfig(n_list=(2, 70_000)).validate()
         with pytest.raises(ConfigError, match="length"):
             RunConfig(length=2**24 + 1).validate()
-        # block counts index 250^8 words with int64 ids: more than 2^62
+        # block counts never index the 250^8 > 2^62 word space
+        RunConfig(n_list=(2, 250), max_block=8).validate()
+        RunConfig(n_list=(2, 250), max_block=62).validate()
         with pytest.raises(ConfigError, match="max_block"):
-            RunConfig(n_list=(2, 250), max_block=8).validate()
-        RunConfig(n_list=(2, 250), max_block=7).validate()
+            RunConfig(max_block=63).validate()
+        with pytest.raises(ConfigError, match="max_block"):
+            RunConfig(max_block=1).validate()
 
 
 class TestConfigSchema:
@@ -190,15 +193,23 @@ class TestSweepCommand:
         assert "n_list" in capsys.readouterr().err
         assert not csv_path.exists()
 
-    def test_max_block_beyond_word_space_exits_2(self, tmp_path, capsys):
+    def test_max_block_over_62_exits_2(self, tmp_path, capsys):
         csv_path = tmp_path / "out.csv"
         code = dispatch(
-            ["sweep", "--max-block", "9", "--cells", "2", "--cells", "250",
-             "--length", "200000", "--out-csv", str(csv_path)]
+            ["sweep", "--max-block", "63", "--cells", "2", "--length", "2000",
+             "--out-csv", str(csv_path)]
         )
         assert code == 2
         assert "max_block" in capsys.readouterr().err
         assert not csv_path.exists()
+
+    def test_max_block_8_at_250_cells_sweeps(self):
+        # 250^8 > 2^62 words, but the ladder only numbers the observed ones
+        config = RunConfig(sigma=(0.1,), n_list=(2, 250), length=2000, p_samples=500, max_block=8)
+        (curve,) = sweep.run_grid(config)
+        assert [point.n_cells for point in curve.points] == [2, 250]
+        for point in curve.points:
+            assert 0.0 <= point.block_rate <= np.log2(point.n_cells)
 
     def test_failing_cell_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
         estimate_p = sweep.estimate_p

@@ -1,11 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import epsent.dynamics
 from epsent.dynamics import MapSpec, NoiseSpec, sample_invariant_orbit
 from epsent.estimators import (
+    _entropy_from_counts,
     bernoulli_entropy,
     block_entropy,
     block_entropy_rate,
@@ -53,6 +57,81 @@ class TestBlockEntropyRate:
             values = [block_entropy(seq, n) for n in range(1, 6)]
             for a, b in zip(values, values[1:]):
                 assert b >= a - 1e-6
+
+
+def reference_block_entropy(symbols, depth: int, miller_madow: bool = False) -> float:
+    """H_depth from every sliding window counted as a tuple, words sorted.
+
+    Kept as the oracle for the word-rank ladder: the sorted tuples are the
+    lexicographic order in which the ladder hands out its counts.
+    """
+    windows = Counter(tuple(symbols[i : i + depth]) for i in range(len(symbols) - depth + 1))
+    counts = np.array([windows[word] for word in sorted(windows)])
+    return _entropy_from_counts(counts, miller_madow)
+
+
+@st.composite
+def ladder_inputs(draw):
+    """(N, symbols, depth): N in 2..300, depth in 1..8, at most 2000 symbols.
+
+    Draws over a few letters of the alphabet repeat deep words; plain draws
+    over all N symbols make most words distinct.
+    """
+    n = draw(st.integers(2, 300))
+    depth = draw(st.integers(1, 8))
+    letters = list(range(n))
+    if draw(st.booleans()):
+        letters = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(letters) - 1), min_size=depth + 1, max_size=2000))
+    return n, [letters[i] for i in picks], depth
+
+
+def assert_matches_reference(n, symbols, depth, miller_madow):
+    seq = SymbolicSequence(np.array(symbols), n)
+    hs = [reference_block_entropy(symbols, d, miller_madow) for d in range(1, depth + 2)]
+    ces = tuple(min(max(hi - lo, 0.0), math.log2(n)) for lo, hi in zip(hs, hs[1:]))
+    assert block_entropy(seq, depth, miller_madow) == hs[depth - 1]
+    assert conditional_entropy(seq, depth, miller_madow) == ces[-1]
+    assert choose_n0(seq, 0.05, depth, miller_madow).cond_entropies == ces
+
+
+@pytest.mark.filterwarnings("ignore:length .* below recommended")
+class TestLadderReference:
+    @settings(max_examples=200, deadline=None)
+    @given(ladder_inputs(), st.booleans())
+    @example((2, [0, 1] * 500, 8), False)
+    @example((3, [2] * 9, 8), True)
+    @example((300, list(range(300)) * 3, 2), True)
+    def test_property_matches_reference(self, case, miller_madow):
+        assert_matches_reference(*case, miller_madow)
+
+    @pytest.mark.parametrize("miller_madow", [False, True])
+    def test_seeded_widest_alphabet(self, miller_madow):
+        # 65535 ids pass twice the length at depth 1: every depth is sorted
+        rng = np.random.default_rng(65535)
+        letters = rng.integers(0, 65535, size=40)
+        symbols = letters[rng.integers(0, 40, size=5000)].tolist()
+        assert_matches_reference(65535, symbols, 3, miller_madow)
+
+    @pytest.mark.parametrize("miller_madow", [False, True])
+    def test_seeded_250_cells_at_depth_8(self, miller_madow):
+        # 250^8 > 2^62 words: beyond any int64 word id
+        rng = np.random.default_rng(250)
+        symbols = np.where(
+            rng.random(4000) < 0.1, rng.integers(0, 250, size=4000), rng.choice([3, 77, 249], 4000)
+        ).tolist()
+        assert_matches_reference(250, symbols, 8, miller_madow)
+
+    def test_depth_validation(self):
+        seq = SymbolicSequence(np.array([0, 1, 0]), 2)
+        with pytest.raises(ValueError):
+            block_entropy(seq, 0)
+        with pytest.raises(ValueError):
+            conditional_entropy(seq, 0)
+        with pytest.raises(ValueError):
+            block_entropy(seq, 4)
+        with pytest.raises(ValueError):
+            conditional_entropy(seq, 3)
 
 
 class TestConditionalEntropy:
@@ -113,6 +192,11 @@ class TestChooseN0:
         sel = choose_n0(periodic(2000), 0.05)
         assert sel.n0 == 1
         assert sel.gap == pytest.approx(0.0, abs=1e-6)
+
+    def test_max_depth_is_unconfirmed(self):
+        # no deeper depth can confirm the deepest one
+        sel = choose_n0(iid_bits(50_000, seed=17), 0.05, max_depth=1)
+        assert (sel.n0, sel.gap, sel.converged) == (1, 0.0, False)
 
     def test_explicit_max_depth(self):
         sel = choose_n0(iid_bits(50_000, seed=17), 0.05, max_depth=3)
