@@ -22,7 +22,7 @@ import numpy as np
 from . import compressor, dynamics, selftest
 from .config import SCHEMA, ConfigError, RunConfig, flag_of, load_config
 from .dynamics import MapSpec, NoiseSpec, dump_orbit, generate_orbit, sample_invariant_orbit
-from .sweep import detect_sigma, emit_csv, emit_plot_data, run_grid
+from .sweep import FLAT_SLOPE, NOISE_SLOPE, detect_sigma, emit_csv, emit_plot_data, run_grid
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect", help="locate the noise scale from a sweep CSV")
     det.add_argument("csv")
-    det.add_argument("--flat-slope", type=float, default=0.15)
-    det.add_argument("--noise-slope", type=float, default=0.85)
+    det.add_argument("--flat-slope", type=float, default=FLAT_SLOPE)
+    det.add_argument("--noise-slope", type=float, default=NOISE_SLOPE)
 
     sub.add_parser("selftest", help="run the built-in analytic oracles")
     return parser

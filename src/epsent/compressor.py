@@ -40,16 +40,18 @@ Two reversible coders over an alphabet {0..N-1} share one stream format:
 A phase-in code over n values with b = floor(log2 n) and u = 2**(b+1) - n
 writes a value x < u in b bits and any other x as x + u in b + 1 bits.
 
+Both encoders hand their records to :func:`_pack_fields` as (value, width)
+arrays, which packs them all at once.
+
 Stream layout: 16-byte little-endian header (magic ``EPSC``, version byte 2,
-alphabet size as u16, symbol count as u64, algorithm id byte, reserved = 0),
-then the phrase records, then zero padding to a byte boundary.  Reported
+alphabet size as u16, symbol count as u64, algorithm id byte), then the
+phrase records, then zero padding to a byte boundary.  Reported
 ``encoded_bits`` include the header.  These are estimators, not archivers:
 there is no entropy-coding stage, by design.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from array import array
 from dataclasses import dataclass
@@ -84,20 +86,13 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class CompressionReport:
-    """Summary of one encode: sizes, rate and a round-trip content hash."""
+    """Summary of one encode: sizes and rate."""
 
     input_len: int
     phrase_count: int
     encoded_bits: int
     rate: float
     algorithm: str
-    content_hash: str
-
-
-def content_hash(symbols: np.ndarray) -> str:
-    """Order-sensitive hash of a symbol sequence, for round-trip checks."""
-    data = np.ascontiguousarray(symbols, dtype="<u4").tobytes()
-    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _bit_width(k: int) -> int:
@@ -105,69 +100,39 @@ def _bit_width(k: int) -> int:
     return (k - 1).bit_length()
 
 
-class BitWriter:
-    """Collects big-endian-within-byte bit fields of up to 64 bits each.
-
-    Fields are stored as two typed arrays, ``values`` and ``widths``, which
-    both encoders fill through :meth:`extend`; :meth:`getvalue` packs them
-    all at once.
-    """
-
-    def __init__(self) -> None:
-        self.values = array("Q")
-        self.widths = array("B")
-
-    def write(self, value: int, nbits: int) -> None:
-        if not 0 <= nbits <= 64:
-            raise ValueError(f"field width {nbits} outside [0, 64]")
-        if value >> nbits:
-            raise ValueError(f"value {value} does not fit in {nbits} bits")
-        self.values.append(value)
-        self.widths.append(nbits)
-
-    def extend(self, values: np.ndarray, widths: np.ndarray) -> None:
-        """Append the fields (values[i], widths[i]), checked as :meth:`write` checks one."""
-        values = np.asarray(values)
-        widths = np.asarray(widths, dtype=np.int64)
-        if values.shape != widths.shape:
-            raise ValueError(f"{values.size} values for {widths.size} widths")
-        bad = (widths < 0) | (widths > 64)
-        if bad.any():
-            raise ValueError(f"field width {widths[bad][0]} outside [0, 64]")
-        wide = values.astype(np.uint64)
-        shift = np.minimum(widths, 63).astype(np.uint64)
-        bad = (values < 0) | ((wide >> shift != 0) & (widths < 64))
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
-            raise ValueError(f"value {values[i]} does not fit in {widths[i]} bits")
-        self.values.frombytes(wide.tobytes())
-        self.widths.frombytes(widths.astype(np.uint8).tobytes())
-
-    @property
-    def bits_written(self) -> int:
-        return sum(self.widths)
-
-    def getvalue(self) -> bytes:
-        """The fields in order, zero-padded to a byte boundary."""
-        widths = np.frombuffer(self.widths, dtype=np.uint8).astype(np.int64)
-        values = np.frombuffer(self.values, dtype=np.uint64)
-        ends = np.cumsum(widths)
-        total = int(ends[-1]) if ends.size else 0
-        # words[k] holds stream bits 64(k-1) .. 64k-1, big-endian; words[0] is
-        # spare, for the 0 of a zero-width field at bit 0.  A field's last bit
-        # lands in words[word], `shift` bits above its least significant bit
-        shift = -ends & 63
-        word = (ends + shift) >> 6
-        words = np.zeros(((total + 63) >> 6) + 1, dtype=np.uint64)
-        np.add.at(words, word, values << shift.astype(np.uint64))
-        # the high bits of a field that starts in the word before
-        spill = widths > 64 - shift
-        np.add.at(words, word[spill] - 1, values[spill] >> (64 - shift[spill]).astype(np.uint64))
-        return words[1:].astype(">u8").tobytes()[: (total + 7) >> 3]
+def _pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
+    """The fields (values[i], widths[i]) of 0 to 64 bits each, big-endian in
+    order, zero-padded to a byte boundary."""
+    values = np.asarray(values)
+    widths = np.asarray(widths, dtype=np.int64)
+    if values.shape != widths.shape:
+        raise ValueError(f"{values.size} values for {widths.size} widths")
+    bad = (widths < 0) | (widths > 64)
+    if bad.any():
+        raise ValueError(f"field width {widths[bad][0]} outside [0, 64]")
+    wide = values.astype(np.uint64)
+    shift = np.minimum(widths, 63).astype(np.uint64)
+    bad = (values < 0) | ((wide >> shift != 0) & (widths < 64))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(f"value {values[i]} does not fit in {widths[i]} bits")
+    ends = np.cumsum(widths)
+    total = int(ends[-1]) if ends.size else 0
+    # words[k] holds stream bits 64(k-1) .. 64k-1, big-endian; words[0] is
+    # spare, for the 0 of a zero-width field at bit 0.  A field's last bit
+    # lands in words[word], `shift` bits above its least significant bit
+    shift = -ends & 63
+    word = (ends + shift) >> 6
+    words = np.zeros(((total + 63) >> 6) + 1, dtype=np.uint64)
+    np.add.at(words, word, wide << shift.astype(np.uint64))
+    # the high bits of a field that starts in the word before
+    spill = widths > 64 - shift
+    np.add.at(words, word[spill] - 1, wide[spill] >> (64 - shift[spill]).astype(np.uint64))
+    return words[1:].astype(">u8").tobytes()[: (total + 7) >> 3]
 
 
 class BitReader:
-    """Reads back what :class:`BitWriter` wrote; errors carry byte offsets."""
+    """Reads back the fields :func:`_pack_fields` packed; errors carry byte offsets."""
 
     def __init__(self, data: bytes, start_byte: int = 0) -> None:
         self._data = data
@@ -250,34 +215,36 @@ def _unpack_header(data: bytes) -> tuple[int, int, str]:
 
 
 def _as_symbols(seq: SymbolicSequence | Sequence[int] | np.ndarray, alphabet_size: int | None) -> tuple[np.ndarray, int]:
+    """An encoder's input as int32 symbols and an alphabet size the stream can hold.
+
+    The sizes are checked here; the symbols' dtype and range are checked by
+    :class:`SymbolicSequence`.
+    """
     if isinstance(seq, SymbolicSequence):
         symbols, alphabet_size = seq.symbols, seq.alphabet_size
     else:
-        symbols = np.asarray(seq, dtype=np.int32)
+        symbols = np.asarray(seq)
         if alphabet_size is None:
             alphabet_size = max(int(symbols.max()) + 1 if symbols.size else 2, 2)
     if not 2 <= alphabet_size <= MAX_ALPHABET:
         raise ValueError(f"alphabet size {alphabet_size} outside [2, {MAX_ALPHABET}]")
     if symbols.size > MAX_SYMBOLS:
         raise ValueError(f"{symbols.size} symbols exceed the stream limit of {MAX_SYMBOLS}")
-    if symbols.size and (int(symbols.min()) < 0 or int(symbols.max()) >= alphabet_size):
-        raise ValueError("symbols outside alphabet range")
-    return symbols, alphabet_size
+    return SymbolicSequence(symbols, alphabet_size).symbols, alphabet_size
 
 
 def _finish(
-    writer: BitWriter, nsym: int, symbols: np.ndarray, algorithm: str, phrase_count: int
+    values: np.ndarray, widths: np.ndarray, nsym: int, symbols: np.ndarray, algorithm: str
 ) -> tuple[bytes, CompressionReport]:
-    """The stream (header + records) and the report of one encode."""
-    stream = _pack_header(nsym, symbols.size, algorithm) + writer.getvalue()
-    encoded_bits = HEADER_BITS + writer.bits_written
+    """The stream (header + one record per phrase) and the report of one encode."""
+    stream = _pack_header(nsym, symbols.size, algorithm) + _pack_fields(values, widths)
+    encoded_bits = HEADER_BITS + int(widths.sum())
     report = CompressionReport(
         input_len=int(symbols.size),
-        phrase_count=phrase_count,
+        phrase_count=int(values.size),
         encoded_bits=encoded_bits,
         rate=encoded_bits / symbols.size if symbols.size else 0.0,
         algorithm=algorithm,
-        content_hash=content_hash(symbols),
     )
     return stream, report
 
@@ -361,16 +328,13 @@ def lz78_encode(
     code, width = _phase_in(parents, np.arange(1, parents.size + 1, dtype=np.int32))
     rank, rank_width = _phase_in(syms - smaller, nsym - older)
     del older, smaller, parents, syms
-    writer = BitWriter()
-    writer.extend(
-        code.astype(np.uint64) << rank_width.astype(np.uint64) | rank.astype(np.uint64),
-        width + rank_width,
-    )
-    phrase_count = code.size
-    if node:
-        writer.write(*map(int, _phase_in(node // nsym, base // nsym)))
-        phrase_count += 1
-    return _finish(writer, nsym, symbols, "lz78", phrase_count)
+    values = code.astype(np.uint64) << rank_width.astype(np.uint64) | rank.astype(np.uint64)
+    widths = width + rank_width
+    if node:  # a final partial phrase: its parent index alone
+        last, last_width = _phase_in(node // nsym, base // nsym)
+        values = np.append(values, np.uint64(last))
+        widths = np.append(widths, last_width)
+    return _finish(values, widths, nsym, symbols, "lz78")
 
 
 def _lz78_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> np.ndarray:
@@ -378,7 +342,9 @@ def _lz78_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> 
     # phrase k was emitted as out[starts[k] : starts[k] + lengths[k]]; 0 is empty
     starts = [0]
     lengths = [0]
-    used = [0]
+    # per phrase, the symbols it has been extended by in ascending order, or
+    # None before its first extension
+    children: list[list[int] | None] = [None]
 
     decoded = 0
     k = 1
@@ -390,27 +356,33 @@ def _lz78_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> 
                 raise DecodeError(f"final phrase overruns declared length {input_len}")
             out.extend(out[start : start + length])
             break
-        mask = used[parent]
-        free = alphabet_size - mask.bit_count()
-        if not free:
-            raise DecodeError(f"phrase {k} extends parent {parent}, which has no unused symbol")
-        rank = reader.read_phase_in(free)
-        # the rank-th unused symbol s is the least fixed point of
-        # s = rank + (used symbols <= s), approached from below
-        s = rank
-        if mask:
-            while True:
-                t = rank + (mask & ((2 << s) - 1)).bit_count()
-                if t == s:
-                    break
-                s = t
+        used = children[parent]
+        if used is None:
+            s = reader.read_phase_in(alphabet_size)
+            children[parent] = [s]
+        else:
+            hi = len(used)
+            if hi == alphabet_size:
+                raise DecodeError(f"phrase {k} extends parent {parent}, which has no unused symbol")
+            rank = reader.read_phase_in(alphabet_size - hi)
+            # the rank-th unused symbol is rank + lo, where lo counts the used
+            # symbols below it: those with at most rank unused symbols below
+            # them.  used[i] - i, the unused count below used[i], never falls
+            lo = 0
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if used[mid] - mid <= rank:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            s = rank + lo
+            used.insert(lo, s)
         out.extend(out[start : start + length])
         out.append(s)
         starts.append(decoded)
         lengths.append(length + 1)
         decoded += length + 1
-        used[parent] = mask | (1 << s)
-        used.append(0)
+        children.append(None)
         k += 1
     return np.frombuffer(out, dtype=np.int32)
 
@@ -501,9 +473,7 @@ def castore_encode(
     index[1 : nsym + 1] = np.arange(1, nsym + 1)
     index[new] = np.arange(nsym + 1, nsym + 1 + new.size)
     width = np.frexp(np.arange(nsym, nsym + u.size, dtype=np.int64))[1]
-    writer = BitWriter()
-    writer.extend(index[u] << width | index[v], 2 * width)
-    return _finish(writer, nsym, symbols, "castore", int(u.size))
+    return _finish(index[u] << width | index[v], 2 * width, nsym, symbols, "castore")
 
 
 def _castore_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> np.ndarray:

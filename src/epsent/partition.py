@@ -49,11 +49,16 @@ class SymbolicSequence:
     alphabet_size: int
 
     def __post_init__(self) -> None:
-        self.symbols = np.asarray(self.symbols, dtype=np.int32)
-        if self.symbols.size and int(self.symbols.max()) >= self.alphabet_size:
-            raise ValueError("symbol out of alphabet range")
-        if self.symbols.size and int(self.symbols.min()) < 0:
-            raise ValueError("negative symbol")
+        # checked before the cast to int32, which would wrap or truncate
+        symbols = np.asarray(self.symbols)
+        if symbols.size:
+            if symbols.dtype.kind not in "iu":
+                raise ValueError(f"symbols must have an integer dtype, not {symbols.dtype}")
+            if int(symbols.max()) >= min(self.alphabet_size, 2**31):
+                raise ValueError("symbol out of alphabet range")
+            if int(symbols.min()) < 0:
+                raise ValueError("negative symbol")
+        self.symbols = symbols.astype(np.int32, copy=False)
 
     def __len__(self) -> int:
         return int(self.symbols.size)

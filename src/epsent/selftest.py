@@ -79,10 +79,9 @@ def round_trips() -> None:
         length = int(rng.integers(0, 400))
         symbols = rng.integers(0, n, size=length, dtype=np.int32)
         for enc in (compressor.lz78_encode, compressor.castore_encode):
-            stream, report = enc(symbols, alphabet_size=n)
+            stream, _ = enc(symbols, alphabet_size=n)
             seq, _ = compressor.decode(stream)
             _expect(np.array_equal(seq.symbols, symbols))
-            _expect(compressor.content_hash(seq.symbols) == report.content_hash)
 
 
 def cylinder_geometry() -> None:

@@ -247,10 +247,15 @@ def run_grid(config: RunConfig) -> list[EntropyCurve]:
     return curves
 
 
+# detect_sigma's default slope thresholds, also the defaults of `epsent detect`
+FLAT_SLOPE = 0.15
+NOISE_SLOPE = 0.85
+
+
 def detect_sigma(
     curve: EntropyCurve | Sequence[tuple[float, float]],
-    flat_slope: float = 0.15,
-    noise_slope: float = 0.85,
+    flat_slope: float = FLAT_SLOPE,
+    noise_slope: float = NOISE_SLOPE,
 ) -> SigmaDetection:
     """Locate the flat-regime edge eps1 and the noise-regime edge eps2.
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from epsent.bounds import dynamical_noise_upper, kifer_lower, output_noise_upper
-from epsent.compressor import castore_encode, content_hash, decode, lz78_encode
+from epsent.compressor import castore_encode, decode, lz78_encode
 from epsent.config import RunConfig
 from epsent.dynamics import MapSpec, NoiseSpec, sample_invariant_orbit
 from epsent.estimators import bernoulli_entropy, block_entropy_rate, conditional_entropy
@@ -156,10 +156,9 @@ class TestCriterion6CompressorCorrectness:
             n_sym = int(rng.integers(2, 65))
             symbols = rng.integers(0, n_sym, size=length, dtype=np.int32)
             for encoder in (lz78_encode, castore_encode):
-                stream, rep = encoder(symbols, alphabet_size=n_sym)
+                stream, _ = encoder(symbols, alphabet_size=n_sym)
                 out, _ = decode(stream)
                 assert np.array_equal(out.symbols, symbols), (encoder, n_sym, length)
-                assert content_hash(out.symbols) == rep.content_hash
             checked += 1
         assert report("6", checked == 10_000, f"{checked} random sequences round-tripped, both coders")
 

@@ -172,3 +172,21 @@ class TestSymbolicSequence:
     def test_symbol_range_validation(self):
         with pytest.raises(ValueError):
             SymbolicSequence(np.array([0, 3]), 2)
+
+    def test_wide_integers_checked_before_the_int32_cast(self):
+        # as int32, 2**32 + 1 would read as 1 and 1 - 2**32 as 1
+        with pytest.raises(ValueError, match="out of alphabet range"):
+            SymbolicSequence(np.array([0, 2**32 + 1]), 4)
+        with pytest.raises(ValueError, match="negative symbol"):
+            SymbolicSequence(np.array([0, 1 - 2**32]), 4)
+        seq = SymbolicSequence(np.array([0, 3], dtype=np.uint64), 4)
+        assert seq.symbols.dtype == np.int32
+        assert seq.symbols.tolist() == [0, 3]
+
+    def test_integer_dtype_required(self):
+        with pytest.raises(ValueError, match="integer dtype"):
+            SymbolicSequence(np.array([0.5, 1.7, 2.2]), 4)
+        with pytest.raises(ValueError, match="integer dtype"):
+            SymbolicSequence([0, 1, 1.0], 4)
+        # no symbol to narrow: an empty float array is an empty sequence
+        assert len(SymbolicSequence(np.array([]), 2)) == 0
