@@ -35,34 +35,22 @@ def _ceil_cells(sigma: float, scale: float) -> int:
     return max(1, k)
 
 
-def _validate_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0,1]")
-
-
 def output_noise_upper(h_eps: float, p: float, sigma: float, eps: float) -> float:
-    """Upper bound on the perturbed entropy under output noise."""
-    _validate_p(p)
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        if p > 0.0:
-            raise ValueError("sigma = 0 is inconsistent with p > 0")
-        return h_eps
-    return h_eps + p * math.log2(2 * _ceil_cells(sigma, eps)) + bernoulli_entropy(p)
+    """Upper bound on the perturbed entropy under output noise: the
+    dynamical bound at the partition scale eps, with no convergence gap."""
+    return dynamical_noise_upper(h_eps, 0.0, p, sigma, eps)
 
 
 def dynamical_noise_upper(
     h_eps: float, delta: float, p: float, sigma: float, eps_n0: float
 ) -> float:
     """Upper bound under dynamical noise, at the refined-partition scale."""
-    _validate_p(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p} outside [0,1]")
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if eps_n0 <= 0.0:
-        raise ValueError(f"eps_n0 must be > 0, got {eps_n0}")
+        raise ValueError(f"scale must be > 0, got {eps_n0}")
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:

@@ -176,15 +176,11 @@ class BitReader:
 
     def padding_is_clean(self) -> bool:
         """True iff only zero bits remain in the current final byte."""
-        total = self._total
-        if total - self._pos >= 8:
+        rest = self._total - self._pos
+        if rest >= 8:
             return False
-        rest = 0
-        pos = self._pos
-        while pos < total:
-            rest |= (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
-            pos += 1
-        return rest == 0
+        # the unread bits are the low ``rest`` bits of the last byte
+        return rest == 0 or not self._data[-1] & ((1 << rest) - 1)
 
 
 def _pack_header(alphabet_size: int, input_len: int, algorithm: str) -> bytes:

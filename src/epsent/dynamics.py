@@ -312,6 +312,8 @@ def sample_invariant_orbit(
     Draws x0 from the seed's init stream, runs ``burn_in`` discarded iterates
     under the same noise action, then emits ``length`` points.
     """
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(mix(noise.seed, INIT_STREAM))

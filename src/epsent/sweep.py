@@ -21,8 +21,9 @@ them on return.  So each sigma's orbit and probe are built k times, once on
 The noise-free quantities the bounds need (entropy proxy, convergence depth,
 refined-partition diameter) come from one companion run with sigma = 0,
 encoded against each partition of the grid.  A cell that fails aborts the
-sweep with a ``RuntimeError`` naming its sigma and cell count, so a curve is
-never returned with a point missing.
+sweep with a ``RuntimeError`` naming its sigma and cell count, and a failing
+companion partition names its cell count, so a curve is never returned with
+a point missing.
 """
 
 from __future__ import annotations
@@ -49,26 +50,6 @@ from .estimators import (
 )
 from .partition import Partition, encode, refine_cylinders
 from .seeds import cell_seed, companion_seed, orbit_seed
-
-CSV_COLUMNS = (
-    "sigma",
-    "eps",
-    "n_cells",
-    "orbit_len",
-    "compression_rate_bits",
-    "block_rate_bits",
-    "cond_entropy_bits",
-    "n0",
-    "p_hat",
-    "p_halfwidth",
-    "pure_noise_line",
-    "kifer_lower",
-    "upper_bound",
-    "envelope_low",
-    "envelope_high",
-    "cell_seed",
-)
-
 
 @dataclass(frozen=True)
 class CompanionStats:
@@ -128,6 +109,14 @@ def _sorted_grid(config: RunConfig) -> tuple[tuple[float, ...], tuple[int, ...]]
     )
 
 
+def _max_block(config: RunConfig, n: int) -> int:
+    """Deepest block length of an ``n``-cell partition: ``max_block``, else
+    :func:`default_max_block` of the orbit length."""
+    if config.max_block is not None:
+        return config.max_block
+    return default_max_block(config.length, n)
+
+
 def companion_stats(config: RunConfig) -> list[CompanionStats]:
     """Noise-free run of the configured system, summarized per partition."""
     spec = MapSpec(config.map, config.lam)
@@ -138,13 +127,18 @@ def companion_stats(config: RunConfig) -> list[CompanionStats]:
     orbit = sample_invariant_orbit(spec, noise0, config.length, config.burn_in)
     out = []
     for n in cells:
-        part = Partition(n)
-        seq = encode(orbit, part)
-        max_depth = None if config.max_block is None else config.max_block - 1
-        sel = choose_n0(
-            seq, config.delta, max_depth=max_depth, miller_madow=config.miller_madow
-        )
-        cyl = refine_cylinders(spec, part, sel.n0)
+        try:
+            part = Partition(n)
+            seq = encode(orbit, part)
+            sel = choose_n0(
+                seq,
+                config.delta,
+                max_depth=_max_block(config, n) - 1,
+                miller_madow=config.miller_madow,
+            )
+            cyl = refine_cylinders(spec, part, sel.n0)
+        except Exception as exc:
+            raise RuntimeError(f"noise-free companion n_cells={n} failed: {exc!r}") from exc
         out.append(
             CompanionStats(
                 n_cells=n,
@@ -191,14 +185,9 @@ def _cell_task(
         # the coder names imported above, looked up as this module's globals
         _, report = globals()[ENCODERS[config.algorithm]](seq)
 
-        block_depth = (
-            config.max_block
-            if config.max_block is not None
-            else default_max_block(config.length, n)
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            block_rate = block_entropy_rate(seq, block_depth, config.miller_madow)
+            block_rate = block_entropy_rate(seq, _max_block(config, n), config.miller_madow)
             cond_e = conditional_entropy(seq, comp.n0, config.miller_madow)
 
         p_hat, p_half = estimate_p(fx, part, noise)
@@ -277,15 +266,11 @@ def detect_sigma(
     way the full curve does.
     """
     if isinstance(curve, EntropyCurve):
-        pts = sorted(curve.points, key=lambda p: -p.eps)
-        eps = [p.eps for p in pts]
-        plateau_series = [p.cond_entropy for p in pts]
-        noise_series = [p.compression_rate for p in pts]
-    else:
-        rows = sorted((tuple(map(float, row)) for row in curve), key=lambda t: -t[0])
-        eps = [r[0] for r in rows]
-        noise_series = [r[1] for r in rows]
-        plateau_series = [r[2] if len(r) > 2 else r[1] for r in rows]
+        curve = [(p.eps, p.compression_rate, p.cond_entropy) for p in curve.points]
+    rows = sorted((tuple(map(float, row)) for row in curve), key=lambda t: -t[0])
+    eps = [r[0] for r in rows]
+    noise_series = [r[1] for r in rows]
+    plateau_series = [r[2] if len(r) > 2 else r[1] for r in rows]
     m = len(eps)
     if m < 4:
         return SigmaDetection(math.nan, math.nan, "undetermined")
@@ -331,33 +316,35 @@ def _fmt(value: float | int) -> str:
     return f"{value:.9g}"
 
 
+# each CSV column and its value for curve c and point p, in column order
+_CSV_TABLE = (
+    ("sigma", lambda c, p: c.sigma),
+    ("eps", lambda c, p: p.eps),
+    ("n_cells", lambda c, p: p.n_cells),
+    ("orbit_len", lambda c, p: c.orbit_len),
+    ("compression_rate_bits", lambda c, p: p.compression_rate),
+    ("block_rate_bits", lambda c, p: p.block_rate),
+    ("cond_entropy_bits", lambda c, p: p.cond_entropy),
+    ("n0", lambda c, p: p.n0),
+    ("p_hat", lambda c, p: p.p_hat),
+    ("p_halfwidth", lambda c, p: p.p_halfwidth),
+    ("pure_noise_line", lambda c, p: p.bounds.pure_noise_line),
+    ("kifer_lower", lambda c, p: p.bounds.kifer_lower),
+    ("upper_bound", lambda c, p: p.upper_bound),
+    ("envelope_low", lambda c, p: p.bounds.envelope_low),
+    ("envelope_high", lambda c, p: p.bounds.envelope_high),
+    ("cell_seed", lambda c, p: p.cell_seed),
+)
+CSV_COLUMNS = tuple(name for name, _ in _CSV_TABLE)
+
+
 def curves_to_rows(curves: Sequence[EntropyCurve]) -> list[list[str]]:
-    """CSV body rows (sigma desc, eps desc), formatted at 9 significant digits."""
-    ordered = sorted(curves, key=lambda c: -c.sigma)
-    rows = []
-    for curve in ordered:
-        for p in sorted(curve.points, key=lambda p: -p.eps):
-            rows.append(
-                [
-                    _fmt(curve.sigma),
-                    _fmt(p.eps),
-                    str(p.n_cells),
-                    str(curve.orbit_len),
-                    _fmt(p.compression_rate),
-                    _fmt(p.block_rate),
-                    _fmt(p.cond_entropy),
-                    str(p.n0),
-                    _fmt(p.p_hat),
-                    _fmt(p.p_halfwidth),
-                    _fmt(p.bounds.pure_noise_line),
-                    _fmt(p.bounds.kifer_lower),
-                    _fmt(p.upper_bound),
-                    _fmt(p.bounds.envelope_low),
-                    _fmt(p.bounds.envelope_high),
-                    str(p.cell_seed),
-                ]
-            )
-    return rows
+    """CSV body rows (sigma desc, eps desc), floats at 9 significant digits."""
+    return [
+        [_fmt(value(c, p)) for _, value in _CSV_TABLE]
+        for c in sorted(curves, key=lambda c: -c.sigma)
+        for p in sorted(c.points, key=lambda p: -p.eps)
+    ]
 
 
 def emit_csv(curves: Sequence[EntropyCurve], path: str) -> None:

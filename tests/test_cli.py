@@ -229,6 +229,24 @@ class TestSweepCommand:
         assert not csv_path.exists()
         assert "sigma=0.05 n_cells=4" in capsys.readouterr().err
 
+    def test_failing_companion_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
+        refine_cylinders = sweep.refine_cylinders
+
+        def fails_at_four_cells(spec, part, depth):
+            if part.n_cells == 4:
+                raise ValueError("injected")
+            return refine_cylinders(spec, part, depth)
+
+        monkeypatch.setattr(sweep, "refine_cylinders", fails_at_four_cells)
+        csv_path = tmp_path / "out.csv"
+        code = dispatch(
+            ["sweep", "--sigma", "0.05", "--cells", "2", "--cells", "4",
+             "--length", "2000", "--p-samples", "500", "--out-csv", str(csv_path)]
+        )
+        assert code == 1
+        assert not csv_path.exists()
+        assert "noise-free companion n_cells=4" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ['{"sigma": 0.5}', '{"workers": 1.5}'])
     def test_wrong_config_value_type_exits_2(self, text, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -271,6 +289,13 @@ class TestSimulateCommand:
         values = [float(line) for line in out.read_text().splitlines()]
         assert len(values) == 500
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    @pytest.mark.parametrize("length", ["0", "-5"])
+    def test_empty_orbit_exits_1(self, tmp_path, capsys, length):
+        out = tmp_path / "orbit.txt"
+        assert dispatch(["simulate", "--length", length, "--out", str(out)]) == 1
+        assert "length must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_boundary_defaults_to_reflect_like_sweep(self, tmp_path):
         argv = ["simulate", "--noise-mode", "dynamical", "--sigma", "0.5", "--seed", "3",

@@ -525,6 +525,16 @@ class TestMalformedStreams:
         with pytest.raises(DecodeError, match="trailing"):
             decode(stream + b"\xff")
 
+    @pytest.mark.parametrize("encoder, padding", [(lz78_encode, 6), (castore_encode, 2)])
+    def test_set_padding_bit(self, encoder, padding):
+        stream, report = encoder([0, 1, 0, 0, 1, 1, 0], alphabet_size=2)
+        assert 8 * len(stream) - report.encoded_bits == padding
+        decode(stream)
+        for bit in range(padding):
+            broken = stream[:-1] + bytes([stream[-1] | 1 << bit])
+            with pytest.raises(DecodeError, match="trailing"):
+                decode(broken)
+
     def test_unknown_parent_index(self):
         # phrases "0" and "1" use up both children of the root; a third
         # phrase that extends the root again names a parent with no unused

@@ -255,6 +255,12 @@ class TestSampleInvariantOrbit:
         full = generate_orbit(spec, _seeded_x0(noise), 1050, noise).points
         assert np.array_equal(orbit.points, full[50:])
 
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_rejects_empty_orbit(self, length):
+        # burn_in + length >= 1 would otherwise hide the bad length
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            sample_invariant_orbit(MapSpec("logistic", 4.0), NoiseSpec(seed=31), length, 1000)
+
     def test_logistic_visits_both_halves(self):
         orbit = sample_invariant_orbit(MapSpec("logistic", 4.0), NoiseSpec(seed=37), 5000)
         frac_low = float((orbit.points < 0.5).mean())

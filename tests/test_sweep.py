@@ -78,6 +78,34 @@ class TestDetectSigma:
         det = detect_sigma([(e, 1.0) for e in self.dense_grid()])
         assert math.isnan(det.sigma_estimate)
 
+    @staticmethod
+    def triples(curve):
+        return [(p.eps, p.compression_rate, p.cond_entropy) for p in curve.points]
+
+    def test_curve_reads_as_its_triples(self, small_curves):
+        for curve in small_curves:
+            # repr compares the nan edges too
+            assert repr(detect_sigma(curve)) == repr(detect_sigma(self.triples(curve)))
+
+    def test_dense_curve_reads_as_its_triples(self, small_curves):
+        # only the conditional entropy is flat before the knee (the rate alone
+        # reads noise_only); points unsorted
+        template = small_curves[0].points[0]
+        points = [
+            dataclasses.replace(
+                template,
+                eps=e,
+                compression_rate=max(1.0, -math.log2(e)) - 0.2 * math.log2(e),
+                cond_entropy=max(1.0, -math.log2(e)),
+            )
+            for e in self.dense_grid()
+        ]
+        points = points[1::2] + points[::2]
+        curve = epsent.sweep.EntropyCurve(sigma=0.5, points=points, orbit_len=1)
+        det = detect_sigma(curve)
+        assert det.status == "detected"
+        assert repr(det) == repr(detect_sigma(self.triples(curve)))
+
 
 class TestCompanionStats:
     def test_logistic_reference_values(self):
