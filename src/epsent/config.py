@@ -4,13 +4,13 @@ A config file is a flat JSON object; keys match the CLI flag names documented
 in the README.  Unknown keys are rejected.  Flag values override file values.
 Each :class:`RunConfig` field carries its key, its ``epsent sweep`` flag, its
 help text, its element type and its allowed values; ``SCHEMA`` collects them,
-and loading, the choice checks and the sweep flags are all driven by it.
+and loading, the sweep flags and every range and choice check use it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from .compressor import ALGORITHMS, MAX_ALPHABET, MAX_SYMBOLS
@@ -25,78 +25,69 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
-def _param(default, help, *, elem=None, choices=None, key=None, flag=None):
+def _param(default, help, *, elem=None, choices=None, lo=None, hi=None, key=None, flag=None):
     """A RunConfig field and its schema entry.
 
     ``key`` is the config-file key (default: the field name) and ``flag`` the
     ``epsent sweep`` flag (default: ``--`` plus the key with dashes).  The
     element type ``elem`` (default: the type of ``default``) converts one flag
     value, or one element of a tuple field, which is a repeatable flag and a
-    JSON list.  ``choices`` lists the allowed values.
+    JSON list.  ``choices`` lists the allowed values, and ``lo`` and ``hi``
+    bound each value inclusively; ``None`` is no bound.
     """
     elem = elem or type(default)
-    meta = {"key": key, "flag": flag, "help": help, "type": elem, "choices": choices}
+    meta = dict(key=key, flag=flag, help=help, type=elem, choices=choices, lo=lo, hi=hi)
     return field(default=default, metadata=meta)
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One sweep's settings; building an invalid one raises :class:`ConfigError`."""
+
     map: str = _param("logistic", "interval map", choices=MAP_KINDS)
     lam: float = _param(4.0, "logistic parameter in (0,4]", key="lambda")
     noise_mode: str = _param("dynamical", "where the noise acts", choices=NOISE_MODES)
     boundary: str = _param("reflect", "how noise is folded back into [0,1]", choices=BOUNDARIES)
-    sigma: tuple[float, ...] = _param(DEFAULT_SIGMAS, "noise amplitude (repeatable)", elem=float)
+    sigma: tuple[float, ...] = _param(DEFAULT_SIGMAS, "noise amplitude (repeatable)", elem=float, lo=0)
     n_list: tuple[int, ...] = _param(
-        DEFAULT_CELLS, "partition cell count (repeatable)", elem=int, flag="--cells"
+        DEFAULT_CELLS, "partition cell count (repeatable)", elem=int, lo=2, hi=MAX_ALPHABET,
+        flag="--cells",
     )
-    length: int = _param(1_000_000, "orbit length in symbols")
-    burn_in: int = _param(1000, "discarded start iterates")
+    length: int = _param(1_000_000, "orbit length in symbols", lo=1000, hi=MAX_SYMBOLS)
+    burn_in: int = _param(1000, "discarded start iterates", lo=0)
     seed: int = _param(DEFAULT_SEED, "master seed")
-    workers: int = _param(1, "parallel worker processes")
+    workers: int = _param(1, "parallel worker processes", lo=1)
     algorithm: str = _param("lz78", "compressor for the rate", choices=ALGORITHMS)
-    p_samples: int = _param(20_000, "Monte-Carlo samples for the mismatch probability")
+    p_samples: int = _param(20_000, "Monte-Carlo samples for the mismatch probability", lo=1)
     delta: float = _param(0.05, "conditional-entropy flatness tolerance")
-    max_block: int | None = _param(None, "override the deepest block length", elem=int)
+    # 62 bounds the word-rank ladder's passes per count
+    max_block: int | None = _param(None, "override the deepest block length", elem=int, lo=2, hi=62)
     miller_madow: bool = _param(False, "Miller-Madow entropy bias correction")
     out_csv: str | None = _param(None, "CSV output path (default sweep.csv)", elem=str)
     out_plot: str | None = _param(None, "gnuplot data output path", elem=str)
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self) -> None:
         for key, f in SCHEMA.items():
-            value = getattr(self, f.name)
-            choices = f.metadata["choices"]
-            if choices and value not in choices:
-                raise ConfigError(f"{key}: must be one of {choices}, got {value!r}")
+            value, meta = getattr(self, f.name), f.metadata
+            many = isinstance(f.default, tuple)
+            if many and not value:
+                raise ConfigError(f"{key}: need at least one value")
+            lo, hi = meta["lo"], meta["hi"]
+            for v in value if many else (value,):
+                if meta["choices"] and v not in meta["choices"]:
+                    raise ConfigError(f"{key}: must be one of {meta['choices']}, got {v!r}")
+                if v is not None and (lo is not None and v < lo or hi is not None and v > hi):
+                    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+                    raise ConfigError(f"{key}: must be {bound}, got {v!r}")
+        # the two rules that are no inclusive range
         if self.map == "logistic" and not 0.0 < self.lam <= 4.0:
             raise ConfigError(f"lambda: must be in (0, 4], got {self.lam}")
-        if not self.sigma:
-            raise ConfigError("sigma: need at least one value")
-        for s in self.sigma:
-            if s < 0.0:
-                raise ConfigError(f"sigma: must be >= 0, got {s}")
-        if not self.n_list:
-            raise ConfigError("n_list: need at least one cell count")
-        for n in self.n_list:
-            if not 2 <= n <= MAX_ALPHABET:
-                raise ConfigError(f"n_list: cell counts must be in [2, {MAX_ALPHABET}], got {n}")
-        if not 1000 <= self.length <= MAX_SYMBOLS:
-            raise ConfigError(f"length: must be in [1000, {MAX_SYMBOLS}], got {self.length}")
-        if self.burn_in < 0:
-            raise ConfigError(f"burn_in: must be >= 0, got {self.burn_in}")
-        if self.workers < 1:
-            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
-        if self.p_samples < 1:
-            raise ConfigError(f"p_samples: must be >= 1, got {self.p_samples}")
         if self.delta <= 0.0:
             raise ConfigError(f"delta: must be > 0, got {self.delta}")
-        # 62 bounds the word-rank ladder's passes per count
-        if self.max_block is not None and not 2 <= self.max_block <= 62:
-            raise ConfigError(f"max_block: must be in [2, 62], got {self.max_block}")
-        return self
 
 
 # config key -> RunConfig field: the one schema behind the config file, the
-# sweep flags and the choice checks
+# sweep flags and the checks
 SCHEMA = {f.metadata["key"] or f.name: f for f in fields(RunConfig)}
 
 
@@ -105,8 +96,8 @@ def flag_of(key: str) -> str:
     return SCHEMA[key].metadata["flag"] or "--" + key.replace("_", "-")
 
 
-def from_mapping(mapping: Mapping[str, Any], base: RunConfig | None = None) -> RunConfig:
-    """Build a config from a flat mapping, rejecting unknown keys."""
+def from_mapping(mapping: Mapping[str, Any]) -> dict[str, Any]:
+    """The typed RunConfig fields of a flat mapping, rejecting unknown keys."""
     updates: dict[str, Any] = {}
     for key, value in mapping.items():
         if key not in SCHEMA:
@@ -122,7 +113,7 @@ def from_mapping(mapping: Mapping[str, Any], base: RunConfig | None = None) -> R
         else:
             value = _typed(key, elem, value)
         updates[f.name] = value
-    return replace(base or RunConfig(), **updates)
+    return updates
 
 
 def _typed(key: str, elem: type, value: Any) -> Any:
@@ -134,8 +125,11 @@ def _typed(key: str, elem: type, value: Any) -> Any:
 
 
 def load_config(path: str | None, overrides: Mapping[str, Any] | None = None) -> RunConfig:
-    """Load a JSON config file (optional) and apply flag overrides on top."""
-    cfg = RunConfig()
+    """Load a JSON config file (optional) and apply flag overrides on top.
+
+    Each source is type-checked; the merged config checks its own ranges.
+    """
+    file_fields: dict[str, Any] = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -146,7 +140,5 @@ def load_config(path: str | None, overrides: Mapping[str, Any] | None = None) ->
             raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config: top level must be a JSON object")
-        cfg = from_mapping(data, cfg)
-    if overrides:
-        cfg = from_mapping(overrides, cfg)
-    return cfg.validate()
+        file_fields = from_mapping(data)
+    return RunConfig(**{**file_fields, **from_mapping(overrides or {})})

@@ -44,20 +44,13 @@ def _entropy_from_counts(counts: np.ndarray, miller_madow: bool = False) -> floa
     return h
 
 
-def _block_entropies(
-    seq: SymbolicSequence, first: int, last: int, miller_madow: bool
-) -> list[float]:
-    """H_first..H_last, all from one word-rank ladder."""
-    return [_entropy_from_counts(c, miller_madow) for c in block_counts(seq, first, last)]
-
-
 def block_entropy(seq: SymbolicSequence, n: int, miller_madow: bool = False) -> float:
     """Plug-in entropy H_n of the sliding length-n word distribution."""
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    _warn_if_undersampled(seq, n)
-    (h,) = _block_entropies(seq, n, n, miller_madow)
-    return h
+    (counts,) = block_counts(seq, n, n)
+    _warn_if_undersampled(seq, n, counts)
+    return _entropy_from_counts(counts, miller_madow)
 
 
 def block_entropy_rate(seq: SymbolicSequence, n: int, miller_madow: bool = False) -> float:
@@ -73,17 +66,28 @@ def conditional_entropy(seq: SymbolicSequence, n: int, miller_madow: bool = Fals
     """
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
-    _warn_if_undersampled(seq, n + 1)
-    h_lo, h_hi = _block_entropies(seq, n, n + 1, miller_madow)
-    return min(max(h_hi - h_lo, 0.0), math.log2(seq.alphabet_size))
+    lo, hi = block_counts(seq, n, n + 1)
+    _warn_if_undersampled(seq, n + 1, hi)
+    h = _entropy_from_counts(hi, miller_madow) - _entropy_from_counts(lo, miller_madow)
+    return min(max(h, 0.0), math.log2(seq.alphabet_size))
 
 
-def _warn_if_undersampled(seq: SymbolicSequence, n: int) -> None:
-    need = 10 * seq.alphabet_size**n
-    if len(seq) < need:
+# samples per observed word that a block count needs to be trusted
+SAMPLES_PER_WORD = 50
+
+
+def _undersampled(counts: np.ndarray, length: int) -> bool:
+    """Whether ``length`` symbols give the observed words of ``counts``
+    fewer than SAMPLES_PER_WORD samples each."""
+    return len(counts) * SAMPLES_PER_WORD > length
+
+
+def _warn_if_undersampled(seq: SymbolicSequence, n: int, counts: np.ndarray) -> None:
+    if _undersampled(counts, len(seq)):
         warnings.warn(
-            f"length {len(seq)} below recommended {need} for {n}-blocks over "
-            f"{seq.alphabet_size} symbols; estimate may be biased",
+            f"length {len(seq)} below recommended {SAMPLES_PER_WORD * len(counts)} for "
+            f"{n}-blocks over {seq.alphabet_size} symbols ({len(counts)} distinct words "
+            "seen); estimate may be biased",
             stacklevel=3,
         )
 
@@ -98,26 +102,31 @@ def bernoulli_entropy(p: float) -> float:
 
 
 def default_max_block(length: int, alphabet_size: int) -> int:
-    """Deepest block length with >= 50 expected samples per word (min 2)."""
-    if length < 2:
+    """Deepest block length with >= SAMPLES_PER_WORD expected samples per
+    word, of all N^n possible ones (min 2)."""
+    if length <= SAMPLES_PER_WORD:
         return 2
-    b = int(math.floor(math.log(length / 50.0) / math.log(alphabet_size))) if length > 50 else 1
-    return max(2, b)
+    return max(2, int(math.floor(math.log(length / SAMPLES_PER_WORD) / math.log(alphabet_size))))
 
 
 @dataclass(frozen=True)
 class DepthSelection:
-    """Result of scanning conditional entropies for convergence."""
+    """Result of scanning conditional entropies for convergence.
+
+    ``depth`` is the deepest depth searched; ``cond_entropies`` lists every
+    depth counted, down to ``max_depth``.
+    """
 
     n0: int
     gap: float
     converged: bool
+    depth: int
     cond_entropies: tuple[float, ...]
 
     @property
     def deepest(self) -> float:
-        """Deepest conditional entropy: the working proxy for the rate limit."""
-        return self.cond_entropies[-1]
+        """Deepest sampled conditional entropy: the working proxy for the rate."""
+        return self.cond_entropies[self.depth - 1]
 
 
 def choose_n0(
@@ -131,20 +140,26 @@ def choose_n0(
 
     The true entropy rate is the limit of the conditional entropies; the
     deepest estimable value stands in for it, so some depth always
-    qualifies.  ``converged`` says whether a deeper depth confirmed n0: it
-    is False when n0 is ``max_depth`` itself.
+    qualifies.  That value is taken at the deepest depth d <= ``max_depth``
+    (at least 1) whose (d+1)-words keep SAMPLES_PER_WORD samples per
+    observed word: past it every word turns distinct and the increments fall
+    to 0.  ``converged`` says whether a deeper depth confirmed n0: it is
+    False when n0 is that depth itself.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     if max_depth is None:
         max_depth = default_max_block(len(seq), seq.alphabet_size) - 1
     max_depth = max(1, max_depth)
-    hs = _block_entropies(seq, 1, max_depth + 1, miller_madow)
+    counts = block_counts(seq, 1, max_depth + 1)
+    hs = [_entropy_from_counts(c, miller_madow) for c in counts]
     top = math.log2(seq.alphabet_size)
     ces = [min(max(h_hi - h_lo, 0.0), top) for h_lo, h_hi in zip(hs, hs[1:])]
-    target = ces[-1]
+    sampled = [d for d in range(1, max_depth + 1) if not _undersampled(counts[d], len(seq))]
+    depth = max(sampled, default=1)
+    target = ces[depth - 1]
     n0 = next(d for d, ce in enumerate(ces, start=1) if abs(ce - target) <= delta)
-    return DepthSelection(n0, abs(ces[n0 - 1] - target), n0 < max_depth, tuple(ces))
+    return DepthSelection(n0, abs(ces[n0 - 1] - target), n0 < depth, depth, tuple(ces))
 
 
 def mismatch_probe(spec: MapSpec, noise: NoiseSpec, samples: int, burn_in: int) -> np.ndarray:

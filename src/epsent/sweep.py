@@ -29,7 +29,6 @@ a point missing.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -185,10 +184,8 @@ def _cell_task(
         # the coder names imported above, looked up as this module's globals
         _, report = globals()[ENCODERS[config.algorithm]](seq)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            block_rate = block_entropy_rate(seq, _max_block(config, n), config.miller_madow)
-            cond_e = conditional_entropy(seq, comp.n0, config.miller_madow)
+        block_rate = block_entropy_rate(seq, _max_block(config, n), config.miller_madow)
+        cond_e = conditional_entropy(seq, comp.n0, config.miller_madow)
 
         p_hat, p_half = estimate_p(fx, part, noise)
         density_bound = noise_density_bound(sigma, config.boundary)
@@ -215,7 +212,6 @@ def _cell_task(
 
 def run_grid(config: RunConfig) -> list[EntropyCurve]:
     """Run the full grid and return one curve per sigma, largest sigma first."""
-    config = config.validate()
     sigmas, cells = _sorted_grid(config)
     comps = companion_stats(config)
 

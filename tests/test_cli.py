@@ -96,22 +96,22 @@ class TestConfigLoading:
 
     def test_validation_bounds(self):
         with pytest.raises(ConfigError, match="length"):
-            RunConfig(length=100).validate()
+            RunConfig(length=100)
         with pytest.raises(ConfigError, match="n_list"):
-            RunConfig(n_list=(1,)).validate()
+            RunConfig(n_list=(1,))
         with pytest.raises(ConfigError, match="sigma"):
-            RunConfig(sigma=(-0.1,)).validate()
+            RunConfig(sigma=(-0.1,))
         with pytest.raises(ConfigError, match="n_list"):
-            RunConfig(n_list=(2, 70_000)).validate()
+            RunConfig(n_list=(2, 70_000))
         with pytest.raises(ConfigError, match="length"):
-            RunConfig(length=2**24 + 1).validate()
+            RunConfig(length=2**24 + 1)
         # block counts never index the 250^8 > 2^62 word space
-        RunConfig(n_list=(2, 250), max_block=8).validate()
-        RunConfig(n_list=(2, 250), max_block=62).validate()
+        RunConfig(n_list=(2, 250), max_block=8)
+        RunConfig(n_list=(2, 250), max_block=62)
         with pytest.raises(ConfigError, match="max_block"):
-            RunConfig(max_block=63).validate()
+            RunConfig(max_block=63)
         with pytest.raises(ConfigError, match="max_block"):
-            RunConfig(max_block=1).validate()
+            RunConfig(max_block=1)
 
 
 class TestConfigSchema:
@@ -153,6 +153,65 @@ class TestConfigSchema:
         assert SCHEMA[key].metadata["choices"]
         with pytest.raises(ConfigError, match=f"{key}: must be one of"):
             load_config(None, {key: "bogus"})
+
+
+# (key, value) pairs that a config refuses, each at one edge of its range
+OUT_OF_RANGE = [
+    ("sigma", [-1e-9]), ("sigma", []),
+    ("n_list", [1]), ("n_list", [65536]), ("n_list", []),
+    ("length", 999), ("length", 2**24 + 1),
+    ("burn_in", -1), ("workers", 0), ("p_samples", 0), ("delta", 0.0),
+    ("max_block", 1), ("max_block", 63),
+    ("lambda", 0.0), ("lambda", 4.000001),
+]
+
+# flag/key values that a config keeps, each at one edge of its range
+IN_RANGE = [
+    {"sigma": [0.0]}, {"n_list": [2]}, {"n_list": [65535]},
+    {"length": 1000}, {"length": 2**24},
+    {"burn_in": 0}, {"workers": 1}, {"p_samples": 1},
+    {"max_block": 2}, {"max_block": 62}, {"max_block": None},
+    {"lambda": 4.0}, {"lambda": 5.0, "map": "tent"},
+]
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+    def test_out_of_range_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            load_config(None, {key: value})
+
+    @pytest.mark.parametrize("values", IN_RANGE)
+    def test_edge_of_range_is_kept(self, values):
+        cfg = load_config(None, values)
+        for key, value in values.items():
+            expected = tuple(value) if isinstance(value, list) else value
+            assert getattr(cfg, SCHEMA[key].name) == expected
+
+    def file_then_flags(self, tmp_path, data, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        return load_config(str(path), flags)
+
+    def test_replaced_file_value_is_still_type_checked(self, tmp_path):
+        with pytest.raises(ConfigError, match="^workers: expected int"):
+            self.file_then_flags(tmp_path, {"workers": "two"}, {"workers": 2})
+
+    def test_replaced_file_value_is_not_range_checked(self, tmp_path):
+        assert self.file_then_flags(tmp_path, {"workers": 0}, {"workers": 2}).workers == 2
+
+    def test_lambda_rule_reads_the_merged_map(self, tmp_path):
+        cfg = self.file_then_flags(tmp_path, {"lambda": 5}, {"map": "tent"})
+        assert (cfg.map, cfg.lam) == ("tent", 5.0)
+
+
+def run_sweep(cwd, *flags):
+    """``epsent sweep`` in a child process, so that its warnings reach stderr."""
+    src = str(Path(epsent.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "epsent", "sweep", *flags],
+        cwd=cwd, capture_output=True, text=True, timeout=300, env={"PYTHONPATH": src},
+    )
 
 
 class TestSweepCommand:
@@ -210,6 +269,29 @@ class TestSweepCommand:
         assert [point.n_cells for point in curve.points] == [2, 250]
         for point in curve.points:
             assert 0.0 <= point.block_rate <= np.log2(point.n_cells)
+
+    def test_sampled_sweep_writes_no_warning(self, tmp_path):
+        # the SMALL grid of test_sweep.py: its default depths are all sampled
+        proc = run_sweep(
+            tmp_path, "--sigma", "0.1", "--sigma", "0.01", "--cells", "2", "--cells", "4",
+            "--cells", "8", "--length", "20000", "--p-samples", "4000",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "wrote sweep.csv\n"
+
+    def test_deep_max_block_warns_and_sweeps(self, tmp_path):
+        # the companion stops where its words turn distinct (depth 9 and 8),
+        # while each cell's 40-block rate warns on stderr
+        proc = run_sweep(
+            tmp_path, "--length", "100000", "--cells", "2", "--cells", "4", "--sigma", "0.1",
+            "--max-block", "40", "--p-samples", "1000",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
+        for n in (2, 4):
+            assert f"length 100000 below recommended 4998050 for 40-blocks over {n} symbols" in (
+                proc.stderr
+            )
 
     def test_failing_cell_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
         estimate_p = sweep.estimate_p

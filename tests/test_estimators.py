@@ -202,6 +202,15 @@ class TestChooseN0:
         sel = choose_n0(iid_bits(50_000, seed=17), 0.05, max_depth=3)
         assert len(sel.cond_entropies) == 3
 
+    def test_target_is_taken_at_the_deepest_sampled_depth(self):
+        # 2000 symbols give 50 samples to each of 32 5-words, not 64 6-words;
+        # deeper words turn distinct and their increments fall toward 0
+        sel = choose_n0(iid_bits(2000), 0.05, max_depth=20)
+        assert len(sel.cond_entropies) == 20
+        assert sel.depth == 4
+        assert sel.deepest == sel.cond_entropies[3] > 0.9
+        assert sel.converged == (sel.n0 < 4)
+
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             choose_n0(iid_bits(1000), 0.0)

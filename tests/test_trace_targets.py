@@ -35,6 +35,18 @@ def test_every_traced_target_is_bound_and_callable(tracing):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
+# the traced stages each grid cell calls once
+CELL_STAGES = (
+    "partition.encode",
+    "estimators.block_entropy",
+    "estimators.cond_entropy",
+    "estimators.estimate_p",
+    "bounds.envelope",
+)
+# the traced stages the noise-free companion calls once per partition
+COMPANION_STAGES = ("partition.encode", "estimators.choose_n0", "partition.refine_cylinders")
+
+
 def test_sweep_stages_run_through_traced_names(tracing):
     config = RunConfig(sigma=(0.1, 0.01), n_list=(2, 4, 8), length=2000, p_samples=500)
     tracer = tracing.Tracer()
@@ -50,6 +62,22 @@ def test_sweep_stages_run_through_traced_names(tracing):
         while parent >= 0:
             assert tracer.spans[parent].name != "sweep.cell", "a cell built an orbit"
             parent = tracer.spans[parent].parent
+
+    def children(name):
+        """Names of the direct children of each ``name`` span."""
+        kids = {i: [] for i, span in enumerate(tracer.spans) if span.name == name}
+        for span in tracer.spans:
+            if span.parent in kids:
+                kids[span.parent].append(span.name)
+        return list(kids.values())
+
+    # a stage routed past its traced name would read 0 under --trace 1
+    for kids in children("sweep.cell"):
+        for stage in CELL_STAGES:
+            assert kids.count(stage) == 1, stage
+    (kids,) = children("sweep.companion")
+    for stage in COMPANION_STAGES:
+        assert kids.count(stage) == len(config.n_list), stage
 
 
 @pytest.mark.parametrize("algorithm", epsent.compressor.ALGORITHMS)
