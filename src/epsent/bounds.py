@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dynamics import NoiseSpec
 from .estimators import bernoulli_entropy
 
 _CEIL_REL_TOL = 1e-9
@@ -93,45 +94,39 @@ def kifer_lower(eps: float, density_bound: float) -> float:
 
 @dataclass(frozen=True)
 class BoundSet:
-    """Every analytic bound for one (sigma, eps) cell."""
+    """The analytic bounds a grid row reports for one (sigma, eps) cell."""
 
     pure_noise_line: float
     kifer_lower: float
-    output_upper: float
-    dynamical_upper: float
-    envelope_low: float
+    upper_bound: float
     envelope_high: float
 
 
 def envelope(
-    h_eps: float,
-    delta: float,
-    p: float,
-    sigma: float,
-    eps: float,
-    eps_n0: float,
-    density_bound: float,
+    h_eps: float, delta: float, p: float, eps: float, eps_n0: float, noise: NoiseSpec
 ) -> BoundSet:
-    """Assemble the two-regime envelope for one grid cell.
+    """Assemble the two-regime envelope for one grid cell under ``noise``.
 
-    Coarse regime (eps >= sigma and eps_n0 > sigma): the dynamical upper
-    bound, whose cell factor collapses to log2(2).  Fine regime: the same
-    bound capped by the pure-noise line -log2(eps).  The lower edge is always
-    Kifer's bound.  Regime violations are the caller's to flag, not errors.
+    ``upper_bound`` follows the configured noise mode, also at sigma = 0: the
+    output-noise bound at eps under output noise, the dynamical bound at
+    eps_n0 otherwise.  ``envelope_high`` is the dynamical bound in both modes
+    in the coarse regime (eps >= sigma and eps_n0 > sigma), whose cell factor
+    collapses to log2(2), and that bound capped by the pure-noise line
+    -log2(eps) in the fine regime.  The lower edge is Kifer's bound with the
+    density bound of the noise kernel after its boundary policy.  Regime
+    violations are the caller's to flag, not errors.
     """
+    sigma = noise.sigma
     pure = -math.log2(eps)
-    low = kifer_lower(eps, density_bound)
-    out_up = output_noise_upper(h_eps, p, sigma, eps)
     dyn_up = dynamical_noise_upper(h_eps, delta, p, sigma, eps_n0)
+    upper = output_noise_upper(h_eps, p, sigma, eps) if noise.mode == "output" else dyn_up
     if sigma == 0.0 or (eps >= sigma and eps_n0 > sigma):
         high = dyn_up
     else:
         high = min(pure, dyn_up)
     return BoundSet(
         pure_noise_line=pure,
-        kifer_lower=low,
-        output_upper=out_up,
-        dynamical_upper=dyn_up,
-        envelope_low=low,
+        kifer_lower=kifer_lower(eps, noise_density_bound(sigma, noise.boundary)),
+        upper_bound=upper,
         envelope_high=high,
     )

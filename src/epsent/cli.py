@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         sweep.add_argument(flag_of(key), **kwargs)
 
     sim = sub.add_parser("simulate", help="dump one orbit, one point per line")
-    sim.add_argument("--map", default="logistic", choices=dynamics.MAP_KINDS)
-    sim.add_argument("--lambda", dest="lam", type=float, default=4.0)
+    sim.add_argument("--map", default=RunConfig.map, choices=dynamics.MAP_KINDS)
+    sim.add_argument("--lambda", dest="lam", type=float, default=RunConfig.lam)
     sim.add_argument("--noise-mode", default="none", choices=dynamics.NOISE_MODES)
     sim.add_argument("--boundary", default=RunConfig.boundary, choices=dynamics.BOUNDARIES)
     sim.add_argument("--sigma", type=float, default=0.0)
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compress", help="compress a whitespace-separated symbol file")
     comp.add_argument("--cells", type=int, required=True, help="alphabet size N")
-    comp.add_argument("--algorithm", default="lz78", choices=compressor.ALGORITHMS)
+    comp.add_argument("--algorithm", default=RunConfig.algorithm, choices=compressor.ALGORITHMS)
     comp.add_argument("input")
     comp.add_argument("output")
 
@@ -133,7 +133,7 @@ def _extend_symbols(out: array, tokens: list[str]) -> None:
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     symbols = _read_symbols(args.input)
-    encoder = getattr(compressor, compressor.ENCODERS[args.algorithm])
+    encoder = getattr(compressor, compressor.CODERS[args.algorithm][0])
     stream, report = encoder(symbols, alphabet_size=args.cells)
     with open(args.output, "wb") as fh:
         fh.write(stream)
@@ -159,20 +159,17 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    by_sigma: dict[float, list[tuple[float, float, float]]] = defaultdict(list)
+    # the (eps, rate, plateau value) triple of a row that detect_sigma reads
+    columns = ("eps", "compression_rate_bits", "cond_entropy_bits")
+    by_sigma: dict[float, list[tuple[float, ...]]] = defaultdict(list)
     with open(args.csv, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "sigma" not in reader.fieldnames:
-            print(f"{args.csv}: not a sweep CSV", file=sys.stderr)
-            return EXIT_RUNTIME
+        for column in ("sigma", *columns):
+            if column not in (reader.fieldnames or ()):
+                print(f"{args.csv}: not a sweep CSV, no {column} column", file=sys.stderr)
+                return EXIT_RUNTIME
         for row in reader:
-            by_sigma[float(row["sigma"])].append(
-                (
-                    float(row["eps"]),
-                    float(row["compression_rate_bits"]),
-                    float(row["cond_entropy_bits"]),
-                )
-            )
+            by_sigma[float(row["sigma"])].append(tuple(float(row[c]) for c in columns))
     for sigma in sorted(by_sigma, reverse=True):
         det = detect_sigma(by_sigma[sigma], args.flat_slope, args.noise_slope)
         est = f" sigma_estimate={det.sigma_estimate:.6g}" if det.status == "detected" else ""

@@ -71,11 +71,6 @@ MAX_ALPHABET = 0xFFFF  # the header stores the alphabet size as u16
 # It also bounds both dictionaries: each lz78 phrase and each new castore trie
 # node consumes an input symbol, so neither holds more than n + N entries.
 MAX_SYMBOLS = 1 << 24
-# the header's algorithm id is the index into this tuple
-ALGORITHMS = ("lz78", "castore")
-# each algorithm's encoder, by the name a caller looks up at call time, so a
-# name rebound after import (a tracing wrapper, say) is the one that runs
-ENCODERS = {name: f"{name}_encode" for name in ALGORITHMS}
 # castore's walks read one symbol past the input; no trie key is negative
 _SENTINEL = -(1 << 62)
 
@@ -514,14 +509,22 @@ def _castore_decode_body(reader: BitReader, alphabet_size: int, input_len: int) 
     return np.frombuffer(out, dtype=np.int32)
 
 
+# each coder's encoder, by the name a caller looks up at call time, so a name
+# rebound after import (a tracing wrapper, say) is the one that runs, and the
+# decoder of its stream body
+CODERS = {
+    "lz78": ("lz78_encode", _lz78_decode_body),
+    "castore": ("castore_encode", _castore_decode_body),
+}
+# the header's algorithm id is the index into this tuple
+ALGORITHMS = tuple(CODERS)
+
+
 def decode(stream: bytes) -> tuple[SymbolicSequence, str]:
     """Decode either algorithm's stream; returns (sequence, algorithm name)."""
     alphabet_size, input_len, algorithm = _unpack_header(stream)
     reader = BitReader(stream, start_byte=HEADER_BYTES)
-    if algorithm == "lz78":
-        symbols = _lz78_decode_body(reader, alphabet_size, input_len)
-    else:
-        symbols = _castore_decode_body(reader, alphabet_size, input_len)
+    symbols = CODERS[algorithm][1](reader, alphabet_size, input_len)
     if not reader.padding_is_clean():
         raise DecodeError("trailing data after final phrase")
     return SymbolicSequence(symbols=symbols, alphabet_size=alphabet_size), algorithm

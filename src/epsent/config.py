@@ -10,11 +10,12 @@ and loading, the sweep flags and every range and choice check use it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from .compressor import ALGORITHMS, MAX_ALPHABET, MAX_SYMBOLS
-from .dynamics import BOUNDARIES, MAP_KINDS, NOISE_MODES
+from .dynamics import BOUNDARIES, MAP_KINDS, NOISE_MODES, MapSpec
 
 DEFAULT_SEED = 0x5EEDC0DE
 DEFAULT_CELLS = (2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 125, 250)
@@ -54,11 +55,13 @@ class RunConfig:
         flag="--cells",
     )
     length: int = _param(1_000_000, "orbit length in symbols", lo=1000, hi=MAX_SYMBOLS)
-    burn_in: int = _param(1000, "discarded start iterates", lo=0)
+    burn_in: int = _param(1000, "discarded start iterates", lo=0, hi=MAX_SYMBOLS)
     seed: int = _param(DEFAULT_SEED, "master seed")
     workers: int = _param(1, "parallel worker processes", lo=1)
     algorithm: str = _param("lz78", "compressor for the rate", choices=ALGORITHMS)
-    p_samples: int = _param(20_000, "Monte-Carlo samples for the mismatch probability", lo=1)
+    p_samples: int = _param(
+        20_000, "Monte-Carlo samples for the mismatch probability", lo=1, hi=MAX_SYMBOLS
+    )
     delta: float = _param(0.05, "conditional-entropy flatness tolerance")
     # 62 bounds the word-rank ladder's passes per count
     max_block: int | None = _param(None, "override the deepest block length", elem=int, lo=2, hi=62)
@@ -76,12 +79,16 @@ class RunConfig:
             for v in value if many else (value,):
                 if meta["choices"] and v not in meta["choices"]:
                     raise ConfigError(f"{key}: must be one of {meta['choices']}, got {v!r}")
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{key}: must be finite, got {v!r}")
                 if v is not None and (lo is not None and v < lo or hi is not None and v > hi):
                     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
                     raise ConfigError(f"{key}: must be {bound}, got {v!r}")
-        # the two rules that are no inclusive range
-        if self.map == "logistic" and not 0.0 < self.lam <= 4.0:
-            raise ConfigError(f"lambda: must be in (0, 4], got {self.lam}")
+        # the two rules that are no inclusive range; the map states its own
+        try:
+            MapSpec(self.map, self.lam)
+        except ValueError as exc:
+            raise ConfigError(f"lambda: {exc}") from exc
         if self.delta <= 0.0:
             raise ConfigError(f"delta: must be > 0, got {self.delta}")
 

@@ -195,7 +195,7 @@ def estimate_p(fx: np.ndarray, partition: Partition, noise: NoiseSpec) -> tuple[
     samples = len(fx)
     if samples < 1:
         raise ValueError("no probe points")
-    if noise.sigma == 0.0 or noise.mode == "none":
+    if noise.effective_mode == "none":
         return 0.0, 0.0
 
     w_rng = np.random.default_rng(mix(noise.seed, PROBE_NOISE_STREAM))

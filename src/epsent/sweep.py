@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundSet, envelope, noise_density_bound
-from .compressor import ENCODERS, castore_encode, lz78_encode
+from .bounds import BoundSet, envelope
+from .compressor import CODERS, castore_encode, lz78_encode
 from .config import RunConfig
 from .dynamics import MapSpec, NoiseSpec, RealOrbit, sample_invariant_orbit
 from .estimators import (
@@ -73,7 +73,6 @@ class CurvePoint:
     p_hat: float
     p_halfwidth: float
     bounds: BoundSet
-    upper_bound: float
     cell_seed: int
 
 
@@ -163,36 +162,29 @@ def _orbit_task(
     spec = MapSpec(config.map, config.lam)
     orbit = sample_invariant_orbit(spec, noise, config.length, config.burn_in)
     fx = mismatch_probe(spec, noise, config.p_samples, config.burn_in)
-    return [_cell_task(config, orbit, fx, si, sigma, ei, n, comp) for ei, n, comp in parts]
+    return [_cell_task(config, orbit, fx, noise, si, ei, n, comp) for ei, n, comp in parts]
 
 
 def _cell_task(
-    config: RunConfig, orbit: RealOrbit, fx: np.ndarray, si: int, sigma: float,
+    config: RunConfig, orbit: RealOrbit, fx: np.ndarray, noise: NoiseSpec, si: int,
     ei: int, n: int, comp: CompanionStats,
 ) -> CurvePoint:
     try:
         part = Partition(n)
         eps = part.diameter
         seed = cell_seed(config.seed, si, ei)
-        # seeds only this cell's noise draws on the sigma's mismatch probe
-        noise = NoiseSpec(
-            sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed
-        )
 
         seq = encode(orbit, part)
 
         # the coder names imported above, looked up as this module's globals
-        _, report = globals()[ENCODERS[config.algorithm]](seq)
+        _, report = globals()[CODERS[config.algorithm][0]](seq)
 
         block_rate = block_entropy_rate(seq, _max_block(config, n), config.miller_madow)
         cond_e = conditional_entropy(seq, comp.n0, config.miller_madow)
 
-        p_hat, p_half = estimate_p(fx, part, noise)
-        density_bound = noise_density_bound(sigma, config.boundary)
-        bset = envelope(
-            comp.h_eps, comp.delta_gap, p_hat, sigma, eps, comp.eps_n0, density_bound
-        )
-        upper = bset.output_upper if config.noise_mode == "output" else bset.dynamical_upper
+        # the seed draws only this cell's noise on the sigma's mismatch probe
+        p_hat, p_half = estimate_p(fx, part, replace(noise, seed=seed))
+        bset = envelope(comp.h_eps, comp.delta_gap, p_hat, eps, comp.eps_n0, noise)
         return CurvePoint(
             eps=eps,
             n_cells=n,
@@ -203,11 +195,10 @@ def _cell_task(
             p_hat=p_hat,
             p_halfwidth=p_half,
             bounds=bset,
-            upper_bound=upper,
             cell_seed=seed,
         )
     except Exception as exc:
-        raise RuntimeError(f"grid cell sigma={sigma} n_cells={n} failed: {exc!r}") from exc
+        raise RuntimeError(f"grid cell sigma={noise.sigma} n_cells={n} failed: {exc!r}") from exc
 
 
 def run_grid(config: RunConfig) -> list[EntropyCurve]:
@@ -326,8 +317,8 @@ _CSV_TABLE = (
     ("p_halfwidth", lambda c, p: p.p_halfwidth),
     ("pure_noise_line", lambda c, p: p.bounds.pure_noise_line),
     ("kifer_lower", lambda c, p: p.bounds.kifer_lower),
-    ("upper_bound", lambda c, p: p.upper_bound),
-    ("envelope_low", lambda c, p: p.bounds.envelope_low),
+    ("upper_bound", lambda c, p: p.bounds.upper_bound),
+    ("envelope_low", lambda c, p: p.bounds.kifer_lower),
     ("envelope_high", lambda c, p: p.bounds.envelope_high),
     ("cell_seed", lambda c, p: p.cell_seed),
 )

@@ -1,14 +1,17 @@
 import math
+from dataclasses import fields
 
 import pytest
 
 from epsent.bounds import (
+    BoundSet,
     dynamical_noise_upper,
     envelope,
     kifer_lower,
     noise_density_bound,
     output_noise_upper,
 )
+from epsent.dynamics import NoiseSpec
 from epsent.estimators import bernoulli_entropy
 
 
@@ -116,28 +119,54 @@ class TestNoiseDensityBound:
             noise_density_bound(-0.1, "reflect")
 
 
+def clamped(sigma, mode="dynamical"):
+    """Clamped uniform noise, whose density bound is the nominal 1/(2*sigma)."""
+    return NoiseSpec(sigma=sigma, mode=mode, boundary="clamp")
+
+
 class TestEnvelope:
+    def test_reports_the_bounds_of_a_row(self):
+        names = [f.name for f in fields(BoundSet)]
+        assert names == ["pure_noise_line", "kifer_lower", "upper_bound", "envelope_high"]
+
     def test_collapses_to_h_without_noise_effects(self):
-        bs = envelope(1.0, 0.0, 0.0, 0.001, 0.5, 0.5, 500.0)
+        bs = envelope(1.0, 0.0, 0.0, 0.5, 0.5, clamped(0.001))
         assert bs.envelope_high == 1.0
         assert bs.pure_noise_line == pytest.approx(1.0)
 
     def test_fine_regime_takes_the_minimum(self):
-        bs = envelope(1.0, 0.05, 0.95, 0.5, 0.004, 0.002, 1.0)
+        bs = envelope(1.0, 0.05, 0.95, 0.004, 0.002, clamped(0.5))
         loose = 1.05 + 0.95 * math.log2(500.0) + bernoulli_entropy(0.95)
         assert loose == pytest.approx(9.8539, abs=1e-3)
         assert bs.envelope_high == pytest.approx(-math.log2(0.004), abs=1e-9)
-        assert bs.dynamical_upper == pytest.approx(loose, abs=1e-12)
+        assert bs.upper_bound == pytest.approx(loose, abs=1e-12)
 
     def test_coarse_regime_uses_unit_cell_factor(self):
-        bs = envelope(1.0, 0.01, 0.1, 0.001, 0.004, 0.004, 500.0)
+        bs = envelope(1.0, 0.01, 0.1, 0.004, 0.004, clamped(0.001))
         expected = 1.0 + 0.01 + 0.1 * 1.0 + bernoulli_entropy(0.1)
         assert bs.envelope_high == pytest.approx(expected, abs=1e-12)
 
     def test_lower_edge_is_kifer(self):
-        bs = envelope(1.0, 0.05, 0.4, 0.02, 0.01, 0.005, 25.0)
-        assert bs.envelope_low == bs.kifer_lower
+        bs = envelope(1.0, 0.05, 0.4, 0.01, 0.005, clamped(0.02))
         assert bs.kifer_lower == pytest.approx(math.log2(100.0) - math.log2(25.0))
+
+    def test_upper_bound_follows_the_noise_mode(self):
+        args = (1.0, 0.05, 0.3, 0.02, 0.01)
+        assert envelope(*args, clamped(0.1, "output")).upper_bound == output_noise_upper(
+            1.0, 0.3, 0.1, 0.02
+        )
+        for mode in ("dynamical", "none"):
+            assert envelope(*args, clamped(0.1, mode)).upper_bound == dynamical_noise_upper(
+                1.0, 0.05, 0.3, 0.1, 0.01
+            )
+
+    def test_sigma_zero_keeps_the_configured_mode(self):
+        # sigma = 0 acts like mode "none" on an orbit, but the bound still
+        # follows the configured mode: no convergence gap under output noise
+        assert clamped(0.0, "output").effective_mode == "none"
+        assert envelope(1.0, 0.05, 0.0, 0.25, 0.125, clamped(0.0, "output")).upper_bound == 1.0
+        bs = envelope(1.0, 0.05, 0.0, 0.25, 0.125, clamped(0.0, "dynamical"))
+        assert bs.upper_bound == bs.envelope_high == 1.05
 
     def test_envelope_consistent_on_experiment_domain(self):
         # h near 1 bit, sigma <= 0.5: the lower edge must not cross the upper
@@ -145,5 +174,5 @@ class TestEnvelope:
             for n_cells in (2, 4, 16, 64, 250):
                 eps = 1.0 / n_cells
                 p = min(0.95, sigma / eps)
-                bs = envelope(1.0, 0.05, p, sigma, eps, eps, 1.0 / (2.0 * sigma))
-                assert bs.envelope_low <= bs.envelope_high + 1e-9, (sigma, n_cells)
+                bs = envelope(1.0, 0.05, p, eps, eps, clamped(sigma))
+                assert bs.kifer_lower <= bs.envelope_high + 1e-9, (sigma, n_cells)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -160,16 +161,20 @@ OUT_OF_RANGE = [
     ("sigma", [-1e-9]), ("sigma", []),
     ("n_list", [1]), ("n_list", [65536]), ("n_list", []),
     ("length", 999), ("length", 2**24 + 1),
-    ("burn_in", -1), ("workers", 0), ("p_samples", 0), ("delta", 0.0),
+    ("burn_in", -1), ("burn_in", 2**24 + 1), ("workers", 0),
+    ("p_samples", 0), ("p_samples", 2**24 + 1), ("delta", 0.0),
     ("max_block", 1), ("max_block", 63),
     ("lambda", 0.0), ("lambda", 4.000001),
+    # non-finite floats, which pass every comparison or fail it silently
+    ("sigma", [math.nan]), ("sigma", [math.inf]), ("delta", math.nan), ("delta", math.inf),
+    ("lambda", math.nan), ("lambda", math.inf), ("lambda", -math.inf),
 ]
 
 # flag/key values that a config keeps, each at one edge of its range
 IN_RANGE = [
     {"sigma": [0.0]}, {"n_list": [2]}, {"n_list": [65535]},
     {"length": 1000}, {"length": 2**24},
-    {"burn_in": 0}, {"workers": 1}, {"p_samples": 1},
+    {"burn_in": 0}, {"burn_in": 2**24}, {"workers": 1}, {"p_samples": 1}, {"p_samples": 2**24},
     {"max_block": 2}, {"max_block": 62}, {"max_block": None},
     {"lambda": 4.0}, {"lambda": 5.0, "map": "tent"},
 ]
@@ -203,6 +208,28 @@ class TestConfigRanges:
     def test_lambda_rule_reads_the_merged_map(self, tmp_path):
         cfg = self.file_then_flags(tmp_path, {"lambda": 5}, {"map": "tent"})
         assert (cfg.map, cfg.lam) == ("tent", 5.0)
+
+    @pytest.mark.parametrize(
+        "key, flags",
+        [
+            ("sigma", ["--sigma", "nan"]),
+            ("sigma", ["--sigma", "inf"]),
+            ("delta", ["--delta", "inf"]),
+            ("burn_in", ["--burn-in", str(2**24 + 1)]),
+            ("p_samples", ["--p-samples", str(2**24 + 1)]),
+        ],
+    )
+    def test_refusal_exits_2_before_any_orbit(self, monkeypatch, capsys, key, flags):
+        monkeypatch.setattr(cli, "run_grid", lambda cfg: pytest.fail("the sweep ran"))
+        assert dispatch(["sweep", *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+
+    def test_nan_in_config_file_exits_2(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"delta": NaN}')
+        monkeypatch.setattr(cli, "run_grid", lambda cfg: pytest.fail("the sweep ran"))
+        assert dispatch(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: delta: must be finite")
 
 
 def run_sweep(cwd, *flags):
@@ -485,6 +512,14 @@ class TestDetectCommand:
         path = tmp_path / "x.csv"
         path.write_text("a,b\n1,2\n")
         assert dispatch(["detect", str(path)]) == 1
+        assert "no sigma column" in capsys.readouterr().err
+        # each column detect reads is named when it is the one missing
+        columns = ["sigma", "eps", "compression_rate_bits", "cond_entropy_bits"]
+        for missing in columns:
+            kept = [c for c in columns if c != missing]
+            path.write_text(",".join(kept) + "\n" + ",".join("1" for _ in kept) + "\n")
+            assert dispatch(["detect", str(path)]) == 1
+            assert f"no {missing} column" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -147,6 +147,20 @@ class TestRunGrid:
                 expected = -math.log2(p.eps) + math.log2(curve.sigma)
                 assert p.bounds.kifer_lower == pytest.approx(expected, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["output", "dynamical"])
+    def test_noise_free_cells_keep_the_configured_mode(self, mode):
+        # sigma = 0: h_eps under output noise, h_eps plus the gap under dynamical
+        config = dataclasses.replace(
+            SMALL, noise_mode=mode, sigma=(0.0,), n_list=(2, 4), length=2000
+        )
+        comps = {c.n_cells: c for c in companion_stats(config)}
+        assert any(c.delta_gap > 0.0 for c in comps.values())
+        (curve,) = run_grid(config)
+        for p in curve.points:
+            comp = comps[p.n_cells]
+            gap = comp.delta_gap if mode == "dynamical" else 0.0
+            assert p.bounds.upper_bound == comp.h_eps + gap
+
     def test_rerun_is_identical(self, small_curves, tmp_path):
         again = run_grid(SMALL)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -267,6 +281,10 @@ class TestCsvEmission:
         rows = curves_to_rows(small_curves)
         keys = [(float(r[0]), float(r[1])) for r in rows]
         assert keys == sorted(keys, key=lambda t: (-t[0], -t[1]))
+
+    def test_envelope_low_is_kifer_lower_in_every_row(self, small_curves):
+        rows = [dict(zip(CSV_COLUMNS, row)) for row in curves_to_rows(small_curves)]
+        assert rows and all(row["envelope_low"] == row["kifer_lower"] for row in rows)
 
     def test_empty_curve_list(self, tmp_path):
         path = tmp_path / "empty.csv"
