@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
+import warnings
 from array import array
 from collections import defaultdict
 
@@ -29,7 +31,9 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="epsent",
         description="Scale-dependent entropy estimation for noisy one-dimensional maps.",
@@ -94,6 +98,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # sigma and lambda follow sweep's rules, so a bad one exits 2 naming its key
+    RunConfig(map=args.map, lam=args.lam, sigma=(args.sigma,))
     spec = MapSpec(args.map, args.lam)
     noise = NoiseSpec(sigma=args.sigma, mode=args.noise_mode, boundary=args.boundary, seed=args.seed)
     if args.x0 is not None:
@@ -109,21 +115,64 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 _TEXT_CHUNK = 1 << 18
 
 
+# digits to "1", and the whitespace that numpy's text reader skips as well
+# as str.split to " "
+_TOKEN_CHARS = bytes.maketrans(b"0123456789\t\n\v\f\r", b"1" * 10 + b" " * 5)
+
+
 def _read_symbols(path: str) -> np.ndarray:
     """Whitespace-separated integers as int32, without an object per symbol."""
     out = array("i")
     tail = ""
     with open(path) as fh:
         while chunk := fh.read(_TEXT_CHUNK):
-            tokens = (tail + chunk).split()
+            text = tail + chunk
             # the last token may go on in the next chunk
-            tail = "" if chunk[-1].isspace() else tokens.pop()
-            _extend_symbols(out, tokens)
-    _extend_symbols(out, tail.split())
+            if chunk[-1].isspace():
+                tail = ""
+            else:
+                *head, tail = text.rsplit(None, 1)
+                text = head[0] if head else ""
+            _extend_symbols(out, text)
+    _extend_symbols(out, tail)
     return np.frombuffer(out, dtype=np.int32)
 
 
-def _extend_symbols(out: array, tokens: list[str]) -> None:
+def _digit_tokens(text: str) -> int | None:
+    """The number of tokens in text, if it holds only digits and ASCII
+    whitespace; otherwise None."""
+    if not text.isascii():
+        return None
+    kind = text.encode("ascii").translate(_TOKEN_CHARS)
+    if kind.translate(None, b" 1"):
+        return None
+    return kind.count(b" 1") + kind.startswith(b"1")
+
+
+def _extend_symbols(out: array, text: str) -> None:
+    """Append the whitespace-separated integers of text to out, as int() reads them.
+
+    Text of digits and ASCII whitespace alone is parsed by numpy's C reader:
+    each token is an unsigned decimal, which int() would read the same.  The
+    result is kept when it has one value per token and each fits in int32.
+    Any other text takes the int() loop, so it gives the same symbols or the
+    same error as that loop.
+    """
+    tokens = _digit_tokens(text)
+    if tokens is not None:
+        try:
+            with warnings.catch_warnings():
+                # numpy reports a partial read by ValueError, or in older
+                # versions by this warning; either sends the text to int()
+                warnings.simplefilter("error", DeprecationWarning)
+                values = np.fromstring(text, dtype=np.int64, sep=" ")
+        except (DeprecationWarning, ValueError):
+            values = None
+        # a blank text reads as [0]; a number past int64 reads clamped
+        if values is not None and values.size == tokens and values.max(initial=0) < 2**31:
+            out.frombytes(values.astype(np.int32).tobytes())
+            return
+    tokens = text.split()
     try:
         out.extend(map(int, tokens))
     except OverflowError:

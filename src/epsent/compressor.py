@@ -22,6 +22,11 @@ Two reversible coders over an alphabet {0..N-1} share one stream format:
   s.  Neither needs the parse's state: a stable sort by parent gives older,
   and a merge sort of each sibling group by symbol gives smaller.
 
+  The decoder works in two passes too.  The first reads the records; the
+  width of a rank needs only the parent's child count so far.  The second
+  turns ranks into symbols for all sibling groups at once, by the same
+  merge levels run backwards, and then the phrases are copied out.
+
 * ``castore`` - pair concatenation.  The dictionary is seeded with the N
   single symbols; each step greedily matches the longest dictionary word u,
   then the longest dictionary word v of the remainder, emits the two indices
@@ -35,7 +40,9 @@ Two reversible coders over an alphabet {0..N-1} share one stream format:
   as u+v already exists, so the insert only adds nodes from there.  A
   word's index is the order in which its node became a word, so the
   indices and the records' widths, ceil(log2(N+k+1)) bits for phrase k,
-  are then computed in numpy.
+  are then computed in numpy.  Since every width is known in advance, the
+  decoder unpacks the fields of many records at once in numpy and then
+  checks and copies out the words record by record.
 
 A phase-in code over n values with b = floor(log2 n) and u = 2**(b+1) - n
 writes a value x < u in b bits and any other x as x + u in b + 1 bits.
@@ -55,6 +62,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +81,10 @@ MAX_ALPHABET = 0xFFFF  # the header stores the alphabet size as u16
 MAX_SYMBOLS = 1 << 24
 # castore's walks read one symbol past the input; no trie key is negative
 _SENTINEL = -(1 << 62)
+# stream bytes per step of the lz78 decoder's bit windows, and castore
+# records unpacked per step at most
+_WINDOW_BYTES = 1 << 12
+_RECORD_CHUNK = 1 << 16
 
 
 class DecodeError(ValueError):
@@ -88,11 +100,6 @@ class CompressionReport:
     encoded_bits: int
     rate: float
     algorithm: str
-
-
-def _bit_width(k: int) -> int:
-    """Bits needed to address values 0..k-1 (0 when k == 1)."""
-    return (k - 1).bit_length()
 
 
 def _pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
@@ -124,58 +131,6 @@ def _pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
     spill = widths > 64 - shift
     np.add.at(words, word[spill] - 1, wide[spill] >> (64 - shift[spill]).astype(np.uint64))
     return words[1:].astype(">u8").tobytes()[: (total + 7) >> 3]
-
-
-class BitReader:
-    """Reads back the fields :func:`_pack_fields` packed; errors carry byte offsets."""
-
-    def __init__(self, data: bytes, start_byte: int = 0) -> None:
-        self._data = data
-        self._pos = start_byte * 8
-        self._total = len(data) * 8
-
-    def read(self, nbits: int) -> int:
-        if nbits == 0:
-            return 0
-        pos = self._pos
-        end = pos + nbits
-        if end > self._total:
-            raise DecodeError(f"stream truncated at byte {pos // 8}")
-        last = (end + 7) >> 3
-        chunk = int.from_bytes(self._data[pos >> 3 : last], "big")
-        self._pos = end
-        return (chunk >> ((last << 3) - end)) & ((1 << nbits) - 1)
-
-    def read_phase_in(self, n: int) -> int:
-        """Read one value of the phase-in code over n values (see module doc)."""
-        b = n.bit_length() - 1
-        u = (2 << b) - n
-        pos = self._pos
-        end = pos + b + 1
-        last = (end + 7) >> 3
-        # peek b + 1 bits; bits past the end of the stream read as 0
-        chunk = int.from_bytes(self._data[pos >> 3 : last], "big")
-        missing = last - len(self._data)
-        if missing > 0:
-            chunk <<= 8 * missing
-        x = (chunk >> ((last << 3) - end)) & ((2 << b) - 1)
-        if x >> 1 < u:
-            x >>= 1
-            end -= 1
-        else:
-            x -= u
-        if end > self._total:
-            raise DecodeError(f"stream truncated at byte {pos // 8}")
-        self._pos = end
-        return x
-
-    def padding_is_clean(self) -> bool:
-        """True iff only zero bits remain in the current final byte."""
-        rest = self._total - self._pos
-        if rest >= 8:
-            return False
-        # the unread bits are the low ``rest`` bits of the last byte
-        return rest == 0 or not self._data[-1] & ((1 << rest) - 1)
 
 
 def _pack_header(alphabet_size: int, input_len: int, algorithm: str) -> bytes:
@@ -248,6 +203,18 @@ def _phase_in(x: np.ndarray | int, n: np.ndarray | int) -> tuple[np.ndarray, np.
     return x + u * long, b + long
 
 
+def _sibling_order(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grouped, older, group): the phrases grouped by parent in phrase order,
+    each phrase's place in its sibling group, and the size of its group."""
+    count = parents.size
+    sizes = np.bincount(parents)
+    # the stable order by parent; unique keys let the faster unstable sort do it
+    grouped = np.argsort(parents.astype(np.int64) << 32 | np.arange(count))
+    older = np.empty(count, dtype=np.int32)
+    older[grouped] = np.arange(count) - (np.cumsum(sizes) - sizes)[parents[grouped]]
+    return grouped, older, sizes[parents]
+
+
 def _earlier_siblings(parents: np.ndarray, syms: np.ndarray, nsym: int) -> tuple[np.ndarray, np.ndarray]:
     """Per phrase k: (older[k], smaller[k]) over the earlier phrases with k's parent.
 
@@ -261,14 +228,8 @@ def _earlier_siblings(parents: np.ndarray, syms: np.ndarray, nsym: int) -> tuple
     groups larger than B stay live at level B; a group holds at most nsym
     phrases, so there are at most ceil(log2 nsym) levels.
     """
-    count = parents.size
-    sizes = np.bincount(parents)
-    group = sizes[parents]
-    # the stable order by parent; unique keys let the faster unstable sort do it
-    grouped = np.argsort(parents.astype(np.int64) << 32 | np.arange(count))
-    older = np.empty(count, dtype=np.int32)
-    older[grouped] = np.arange(count) - (np.cumsum(sizes) - sizes)[parents[grouped]]
-    smaller = np.zeros(count, dtype=np.int32)
+    grouped, older, group = _sibling_order(parents)
+    smaller = np.zeros(parents.size, dtype=np.int32)
     live = grouped[group[grouped] > 1]
     rank = np.zeros(live.size, dtype=np.int64)  # by symbol within the B-block
     block = 1
@@ -287,6 +248,43 @@ def _earlier_siblings(parents: np.ndarray, syms: np.ndarray, nsym: int) -> tuple
         keep = group[live] > block
         live, rank = live[keep], new_rank[keep]
     return older, smaller
+
+
+def _ranked_symbols(parents: np.ndarray, ranks: np.ndarray, nsym: int) -> np.ndarray:
+    """Per phrase k, the symbol s with s - smaller[k] == ranks[k]: the inverse
+    of :func:`_earlier_siblings`.
+
+    The merge runs over the same blocks of B = 1, 2, 4, ... siblings.  At
+    level B, x[k] is k's rank among the symbols that no sibling before k's
+    B-block took: the rank read from the stream at B = 1, the symbol once the
+    block holds the whole group.  Joining two B-blocks leaves the left half's
+    x as it is.  A right-half x counts free symbols, so it moves up by the
+    left-half picks at or below the one it names.  The l-th smallest left
+    pick y has y - l free symbols below it, so it is one of them when
+    y - l <= x.  One sort orders every block's left picks, and one
+    searchsorted counts them for every right half.
+    """
+    grouped, older, group = _sibling_order(parents)
+    x = ranks.astype(np.int64)
+    live = grouped[group[grouped] > 1]
+    block = 1
+    while live.size:
+        place = older[live] & (2 * block - 1)  # in the 2B-block
+        # sorting by (block start in `live`, value) keeps each block's left
+        # picks in the places its left phrases hold, so a sorted pick's
+        # `place` is its index l among them
+        start = (np.arange(live.size) - place) * nsym
+        left = place < block
+        picks = np.sort(start[left] + x[live[left]]) - place[left]
+        right = ~left
+        # a right half's block has a full left half, so `block` of the left
+        # phrases before it are its own
+        before = np.cumsum(left)[right] - block
+        moved = live[right]
+        x[moved] += np.searchsorted(picks, start[right] + x[moved], "right") - before
+        block *= 2
+        live = live[group[live] > block]
+    return x
 
 
 def lz78_encode(
@@ -328,54 +326,103 @@ def lz78_encode(
     return _finish(values, widths, nsym, symbols, "lz78")
 
 
-def _lz78_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> np.ndarray:
-    out = array("i")
-    # phrase k was emitted as out[starts[k] : starts[k] + lengths[k]]; 0 is empty
-    starts = [0]
-    lengths = [0]
-    # per phrase, the symbols it has been extended by in ascending order, or
-    # None before its first extension
-    children: list[list[int] | None] = [None]
+def _windows(octets: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """Per byte offset in `at`, the `size` <= 7 bytes of octets from there on
+    as one big-endian int."""
+    window = np.zeros(at.size, dtype=np.int64)
+    for j in range(size):
+        window = window << 8 | octets[at + j]
+    return window
 
-    decoded = 0
+
+def _lz78_decode_body(data: bytes, nsym: int, input_len: int) -> tuple[np.ndarray, int]:
+    """The symbols of an lz78 stream body and the bit its last record ends at."""
+    total = 8 * len(data)
+    octets = np.frombuffer(data + bytes(7), dtype=np.uint8)  # bits past the end read 0
+    pos = HEADER_BITS
+    # pass 1, the records: per phrase its parent and its symbol's rank.  The
+    # rank is phase-in coded over the nsym - c symbols its parent has not
+    # been extended by, c being the parent's children so far
+    parents = array("i")
+    ranks = array("i")
+    lengths = [0]  # per phrase; 0 is the empty phrase
+    children = [0]  # per phrase, its children so far
+    # (b, u) of the phase-in code over n values (see module doc): the rank's
+    # per child count, and the parent's over k = 1, 2, ... values
+    n = np.arange(nsym, 0, -1)
+    rank_b = np.frexp(n)[1] - 1
+    rank_code = list(zip(rank_b.tolist(), ((2 << rank_b) - n).tolist()))
+    b, u, mask = 0, 1, 1
     k = 1
+    decoded = 0
+    final = 0  # the parent of a final partial phrase
+    first = stop = 0
+    windows: list[int] = []
     while decoded < input_len:
-        parent = reader.read_phase_in(k)
-        start, length = starts[parent], lengths[parent]
+        byte = pos >> 3
+        if byte >= stop:
+            first, stop = byte, byte + _WINDOW_BYTES
+            windows = _windows(octets, np.arange(first, min(stop, len(data) + 1)), 7).tolist()
+        # a record's two fields span at most 25 + 16 bits from bit 0..7 of
+        # its first byte, so that byte's 56-bit window holds the whole record
+        window = windows[byte - first]
+        at = pos & 7  # bits into the window
+        x = window >> 55 - at - b & mask
+        if x >> 1 < u:
+            parent = x >> 1
+            at += b
+        else:
+            parent = x - u
+            at += b + 1
+        if 8 * byte + at > total:
+            raise DecodeError(f"stream truncated at byte {byte}")
+        length = lengths[parent]
         if decoded + length >= input_len:
             if decoded + length > input_len:
                 raise DecodeError(f"final phrase overruns declared length {input_len}")
-            out.extend(out[start : start + length])
+            final = parent
+            pos = 8 * byte + at
             break
-        used = children[parent]
-        if used is None:
-            s = reader.read_phase_in(alphabet_size)
-            children[parent] = [s]
+        c = children[parent]
+        if c == nsym:
+            raise DecodeError(f"phrase {k} extends parent {parent}, which has no unused symbol")
+        rb, ru = rank_code[c]
+        x = window >> 55 - at - rb & (2 << rb) - 1
+        if x >> 1 < ru:
+            ranks.append(x >> 1)
+            pos = 8 * byte + at + rb
         else:
-            hi = len(used)
-            if hi == alphabet_size:
-                raise DecodeError(f"phrase {k} extends parent {parent}, which has no unused symbol")
-            rank = reader.read_phase_in(alphabet_size - hi)
-            # the rank-th unused symbol is rank + lo, where lo counts the used
-            # symbols below it: those with at most rank unused symbols below
-            # them.  used[i] - i, the unused count below used[i], never falls
-            lo = 0
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if used[mid] - mid <= rank:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            s = rank + lo
-            used.insert(lo, s)
-        out.extend(out[start : start + length])
-        out.append(s)
-        starts.append(decoded)
+            ranks.append(x - ru)
+            pos = 8 * byte + at + rb + 1
+        if pos > total:
+            raise DecodeError(f"stream truncated at byte {(8 * byte + at) >> 3}")
+        parents.append(parent)
+        children[parent] = c + 1
+        children.append(0)
         lengths.append(length + 1)
         decoded += length + 1
-        children.append(None)
         k += 1
-    return np.frombuffer(out, dtype=np.int32)
+        u -= 1
+        if not u:  # k reached 2^(b+1)
+            b += 1
+            u = k
+            mask = (2 << b) - 1
+    del children, windows
+
+    # pass 2, the symbols, offline per sibling group; then the phrases, each
+    # its parent's phrase and its symbol
+    syms = _ranked_symbols(np.frombuffer(parents, dtype=np.int32), np.frombuffer(ranks, dtype=np.int32), nsym)
+    out = array("i")
+    # per phrase, where it begins in out
+    starts = [0, *accumulate(lengths[1:-1], initial=0)]
+    for parent, s in zip(parents, syms.tolist()):
+        start = starts[parent]
+        out += out[start : start + lengths[parent]]
+        out.append(s)
+    if final:
+        start = starts[final]
+        out += out[start : start + lengths[final]]
+    return np.frombuffer(out, dtype=np.int32), pos
 
 
 def castore_encode(
@@ -467,46 +514,71 @@ def castore_encode(
     return _finish(index[u] << width | index[v], 2 * width, nsym, symbols, "castore")
 
 
-def _castore_decode_body(reader: BitReader, alphabet_size: int, input_len: int) -> np.ndarray:
+def _fields(octets: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The big-endian fields of widths[i] <= 25 bits from bit starts[i] of octets."""
+    return _windows(octets, starts >> 3, 4) >> 32 - (starts & 7) - widths & (1 << widths) - 1
+
+
+def _castore_decode_body(data: bytes, nsym: int, input_len: int) -> tuple[np.ndarray, int]:
+    """The symbols of a castore stream body and the bit its last record ends at."""
+    total = 8 * len(data)
+    octets = np.frombuffer(data + bytes(7), dtype=np.uint8)  # bits past the end read 0
     # grown as the records arrive: the declared length is not trusted
     out = array("i")
     # words 1..N are the single symbols; word w > N was emitted as
-    # out[starts[w] : starts[w] + lengths[w]]
-    starts = [0] * (alphabet_size + 1)
-    lengths = [1] * (alphabet_size + 1)
-    dict_size = alphabet_size
-
-    def emit(word: int) -> None:
-        if word <= alphabet_size:
-            out.append(word - 1)
-        else:
-            start = starts[word]
-            out.extend(out[start : start + lengths[word]])
-
+    # out[starts[w] : starts[w] + lengths[w]]; a final record's v = 0 is empty
+    starts = [0] * (nsym + 1)
+    lengths = [0] + [1] * nsym
+    size = nsym  # words in the dictionary
     decoded = 0
+    pos = HEADER_BITS
     while decoded < input_len:
-        width = _bit_width(dict_size + 1)
-        u = reader.read(width)
-        if not 1 <= u <= dict_size:
-            raise DecodeError(f"word index {u} outside dictionary of {dict_size}")
-        v = reader.read(width)
-        if v == 0:
-            if decoded + lengths[u] != input_len:
+        # record k's two index fields hold 0..nsym + k, so every field's place
+        # is known before any is read.  Unpack no more records than the bits
+        # left hold, nor than the symbols left need: each record but a final
+        # one emits two or more
+        width = size.bit_length()
+        count = min(_RECORD_CHUNK, (total - pos) // (2 * width), (input_len - decoded + 1) // 2)
+        if not count:  # the next record is cut short
+            if pos + width <= total:
+                u = int(_fields(octets, np.array([pos]), np.array([width]))[0])
+                if not 1 <= u <= size:
+                    raise DecodeError(f"word index {u} outside dictionary of {size}")
+                pos += width
+            raise DecodeError(f"stream truncated at byte {pos >> 3}")
+        widths = np.frexp(np.arange(size, size + count, dtype=np.int64))[1].astype(np.int64)
+        ends = pos + 2 * np.cumsum(widths)
+        count = int(np.searchsorted(ends, total, "right"))  # the records that fit
+        widths, ends = widths[:count], ends[:count]
+        at = ends - 2 * widths
+        fields = _fields(octets, np.column_stack([at, at + widths]).ravel(), np.repeat(widths, 2))
+        first = size
+        for u, v in zip(fields[0::2].tolist(), fields[1::2].tolist()):
+            if not 1 <= u <= size:
+                raise DecodeError(f"word index {u} outside dictionary of {size}")
+            if v > size:
+                raise DecodeError(f"word index {v} outside dictionary of {size}")
+            n = lengths[u] + lengths[v]
+            if not v and decoded + n != input_len:
                 raise DecodeError("final phrase does not close the declared length")
-            emit(u)
-            break
-        if v > dict_size:
-            raise DecodeError(f"word index {v} outside dictionary of {dict_size}")
-        n = lengths[u] + lengths[v]
-        if decoded + n > input_len:
-            raise DecodeError(f"phrase overruns declared length {input_len}")
-        emit(u)
-        emit(v)
-        starts.append(decoded)
-        lengths.append(n)
-        decoded += n
-        dict_size += 1
-    return np.frombuffer(out, dtype=np.int32)
+            if decoded + n > input_len:
+                raise DecodeError(f"phrase overruns declared length {input_len}")
+            for word in u, v:
+                if word > nsym:
+                    start = starts[word]
+                    out += out[start : start + lengths[word]]
+                elif word:
+                    out.append(word - 1)
+            if not v:
+                return np.frombuffer(out, dtype=np.int32), int(ends[size - first])
+            starts.append(decoded)
+            lengths.append(n)
+            decoded += n
+            size += 1
+            if decoded == input_len:
+                break
+        pos = int(ends[size - first - 1])
+    return np.frombuffer(out, dtype=np.int32), pos
 
 
 # each coder's encoder, by the name a caller looks up at call time, so a name
@@ -523,9 +595,9 @@ ALGORITHMS = tuple(CODERS)
 def decode(stream: bytes) -> tuple[SymbolicSequence, str]:
     """Decode either algorithm's stream; returns (sequence, algorithm name)."""
     alphabet_size, input_len, algorithm = _unpack_header(stream)
-    reader = BitReader(stream, start_byte=HEADER_BYTES)
-    symbols = CODERS[algorithm][1](reader, alphabet_size, input_len)
-    if not reader.padding_is_clean():
+    symbols, end = CODERS[algorithm][1](stream, alphabet_size, input_len)
+    # only zero bits may follow the last record, and only in its final byte
+    rest = 8 * len(stream) - end
+    if rest >= 8 or rest and stream[-1] & (1 << rest) - 1:
         raise DecodeError("trailing data after final phrase")
     return SymbolicSequence(symbols=symbols, alphabet_size=alphabet_size), algorithm
-

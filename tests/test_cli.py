@@ -406,6 +406,25 @@ class TestSimulateCommand:
         assert "length must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sigma", "nan"], "sigma: must be finite, got nan"),
+            (["--sigma", "inf"], "sigma: must be finite, got inf"),
+            (["--sigma", "-0.1"], "sigma: must be >= 0, got -0.1"),
+            (["--lambda", "nan"], "lambda: must be finite, got nan"),
+            (["--lambda", "5"], "lambda: logistic parameter must be in (0, 4], got 5.0"),
+            (["--x0", "0.3", "--sigma", "nan"], "sigma: must be finite, got nan"),
+        ],
+    )
+    def test_bad_sigma_or_lambda_exits_2_before_any_orbit(self, tmp_path, monkeypatch, capsys, flags, message):
+        for name in ("generate_orbit", "sample_invariant_orbit"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("an orbit was built"))
+        out = tmp_path / "orbit.txt"
+        assert dispatch(["simulate", "--noise-mode", "dynamical", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_boundary_defaults_to_reflect_like_sweep(self, tmp_path):
         argv = ["simulate", "--noise-mode", "dynamical", "--sigma", "0.5", "--seed", "3",
                 "--length", "2000"]
@@ -456,7 +475,17 @@ class TestCompressionCommands:
     def test_missing_input_exits_1(self, tmp_path):
         assert dispatch(["compress", "--cells", "2", str(tmp_path / "nope.txt"), str(tmp_path / "o")]) == 1
 
-    @pytest.mark.parametrize("token, message", [("0x1", "'0x1'"), ("4294967296", "4294967296")])
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("0x1", "'0x1'"),
+            ("4294967296", "4294967296"),
+            ("1.5", "error: invalid literal for int() with base 10: '1.5'"),
+            ("1-2", "error: invalid literal for int() with base 10: '1-2'"),
+            # numpy's reader clamps this to 2**63 - 1; int() reads it whole
+            ("99999999999999999999", "error: symbol 99999999999999999999 out of bounds for int32"),
+        ],
+    )
     def test_bad_token_exits_1(self, tmp_path, capsys, token, message):
         src = tmp_path / "in.txt"
         src.write_text(f"0 1\n1 {token} 0\n")
@@ -475,6 +504,28 @@ class TestCompressionCommands:
         assert symbols.dtype == np.int32
         assert symbols.tolist() == [int(tok) for tok in text.split()]
 
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 18])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "+5 -0 0012 -7",  # signs and leading zeros
+            "1_0 3 \u0663",  # int() reads an underscore and an Arabic-Indic three
+            "4\xa05 6",  # a no-break space separates for str.split
+            "7\x1c8",  # so does a file separator
+            "9" + " " * 8 + "\n\t 10",  # whitespace-only read chunks; numpy reads "  " as [0]
+            "  \n\t  ",
+            "\v1\f2\r3",
+        ],
+    )
+    def test_symbol_file_read_as_int_reads_it(self, tmp_path, monkeypatch, chunk, text):
+        # texts on which numpy's C reader and int() disagree or need care
+        monkeypatch.setattr(cli, "_TEXT_CHUNK", chunk)
+        src = tmp_path / "in.txt"
+        src.write_text(text)
+        symbols = cli._read_symbols(str(src))
+        assert symbols.dtype == np.int32
+        assert symbols.tolist() == [int(tok) for tok in text.split()]
+
     @pytest.mark.parametrize("chunk", [3, 1 << 18])
     @pytest.mark.parametrize("length", [0, 1, 1000])
     def test_decompressed_file_is_one_symbol_per_line(self, tmp_path, monkeypatch, chunk, length):
@@ -486,6 +537,17 @@ class TestCompressionCommands:
         restored = tmp_path / "out.txt"
         assert dispatch(["decompress", str(packed), str(restored)]) == 0
         assert restored.read_bytes() == "".join(f"{s}\n" for s in symbols.tolist()).encode()
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_each_command_still_parses_its_own_flags(self):
+        args = cli.build_parser().parse_args(["sweep", "--sigma", "0.1", "--sigma", "0.2"])
+        assert args.sigma == [0.1, 0.2]
+        # a repeatable flag's list is the parse's own, not kept by the parser
+        assert cli.build_parser().parse_args(["sweep"]).sigma is None
 
 
 class TestDetectCommand:

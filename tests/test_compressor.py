@@ -6,21 +6,43 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epsent import compressor
 from epsent.compressor import (
     ALGORITHMS,
     HEADER_BITS,
     MAX_ALPHABET,
     MAX_SYMBOLS,
-    BitReader,
     DecodeError,
+    _earlier_siblings,
     _pack_fields,
     _pack_header,
+    _ranked_symbols,
     _unpack_header,
     castore_encode,
     decode,
     lz78_encode,
 )
 from epsent.partition import SymbolicSequence
+
+
+class BitReader:
+    """Reads fields back one at a time, the reference for :func:`_pack_fields`."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._pos = 0
+
+    def read(self, nbits: int) -> int:
+        end = self._pos + nbits
+        assert end <= 8 * len(self._data), "read past the end"
+        value = int.from_bytes(self._data, "big") >> (8 * len(self._data) - end)
+        self._pos = end
+        return value & ((1 << nbits) - 1)
+
+    def padding_is_clean(self) -> bool:
+        """True iff only zero bits remain, all in the final byte."""
+        rest = 8 * len(self._data) - self._pos
+        return rest < 8 and not (rest and self._data[-1] & ((1 << rest) - 1))
 
 
 def pack(fields) -> bytes:
@@ -309,6 +331,60 @@ class TestCastoreReference:
             assert rep.phrase_count <= symbols.size
 
 
+def seeded_round_trips() -> None:
+    """Both coders' streams of 200 seeded inputs decode to their input."""
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        length = int(rng.integers(0, 600))
+        symbols = rng.integers(0, n, size=length, dtype=np.int32)
+        for enc in (lz78_encode, castore_encode):
+            stream, rep = enc(symbols, alphabet_size=n)
+            out, _ = decode(stream)
+            assert np.array_equal(out.symbols, symbols)
+            assert rep.input_len == length
+
+
+@st.composite
+def sibling_picks(draw):
+    """(N, parents, symbols): phrases naming random parents, each parent
+    extended by distinct symbols, as the lz78 parse extends a phrase."""
+    n = draw(st.integers(2, 40))
+    groups = draw(st.lists(st.permutations(range(n)).flatmap(
+        lambda order: st.integers(0, n).map(lambda m: order[:m])), min_size=1, max_size=6))
+    # the groups' phrases in a drawn interleaving that keeps each group's order
+    slots = [g for g, picks in enumerate(groups) for _ in picks]
+    slots = draw(st.permutations(slots))
+    taken = [0] * len(groups)
+    parents, symbols = [], []
+    for g in slots:
+        parents.append(g)
+        symbols.append(groups[g][taken[g]])
+        taken[g] += 1
+    return n, np.array(parents, dtype=np.int32), np.array(symbols, dtype=np.int32)
+
+
+class TestRankedSymbols:
+    @settings(max_examples=300, deadline=None)
+    @given(sibling_picks())
+    @example((4, np.array([0, 0, 0], dtype=np.int32), np.array([2, 0, 3], dtype=np.int32)))
+    @example((3, np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)))
+    def test_inverts_earlier_siblings(self, case):
+        n, parents, symbols = case
+        _, smaller = _earlier_siblings(parents, symbols, n)
+        ranks = symbols - smaller
+        assert np.array_equal(_ranked_symbols(parents, ranks, n), symbols)
+
+    def test_full_groups_in_either_order(self):
+        # every parent takes all 1000 symbols, ascending, descending or shuffled
+        n = 1000
+        orders = [np.arange(n), np.arange(n)[::-1], np.random.default_rng(3).permutation(n)]
+        parents = np.repeat(np.arange(3, dtype=np.int32), n)
+        symbols = np.concatenate(orders).astype(np.int32)
+        _, smaller = _earlier_siblings(parents, symbols, n)
+        assert np.array_equal(_ranked_symbols(parents, symbols - smaller, n), symbols)
+
+
 class TestRoundTrips:
     def test_simple(self):
         stream, _ = lz78_encode([0, 1, 1, 0], alphabet_size=2)
@@ -327,16 +403,14 @@ class TestRoundTrips:
         assert rep.input_len == symbols.size
 
     def test_seeded_fuzz_both_algorithms(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            n = int(rng.integers(2, 40))
-            length = int(rng.integers(0, 600))
-            symbols = rng.integers(0, n, size=length, dtype=np.int32)
-            for enc in (lz78_encode, castore_encode):
-                stream, rep = enc(symbols, alphabet_size=n)
-                out, _ = decode(stream)
-                assert np.array_equal(out.symbols, symbols)
-                assert rep.input_len == length
+        seeded_round_trips()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_seeded_fuzz_in_small_decode_steps(self, monkeypatch, chunk):
+        # castore records unpacked, and lz78 stream bytes windowed, per step
+        monkeypatch.setattr(compressor, "_RECORD_CHUNK", chunk)
+        monkeypatch.setattr(compressor, "_WINDOW_BYTES", chunk)
+        seeded_round_trips()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -354,10 +428,12 @@ class TestRoundTrips:
     @pytest.mark.parametrize("n", [16_000, 65_535])
     def test_ascending_alphabet(self, n):
         # every phrase extends the root by the smallest symbol it has not
-        # used: a decoder that steps through the used symbols is cubic here
-        symbols = np.arange(n, dtype=np.int32)
-        stream, _ = lz78_encode(symbols, alphabet_size=n)
-        assert np.array_equal(decode(stream)[0].symbols, symbols)
+        # used: a decoder that steps through the used symbols is cubic here.
+        # Reversed, each phrase takes the largest: a decoder that keeps each
+        # parent's children in a sorted list moves them all on every insert
+        for symbols in np.arange(n, dtype=np.int32), np.arange(n, dtype=np.int32)[::-1]:
+            stream, _ = lz78_encode(symbols, alphabet_size=n)
+            assert np.array_equal(decode(stream)[0].symbols, symbols)
 
     def test_ascending_children_below_the_root(self):
         # 0, 1 | 0, 2 | 0, 3 | ...: phrase "0" is extended by 2, 3, 4, ... in order
@@ -476,6 +552,15 @@ class TestOutputLimit:
             encoder(np.zeros(300_000, dtype=np.int32), alphabet_size=alphabet_size)
 
 
+def decode_outcome(stream: bytes):
+    """decode's symbols and coder, or the message of its DecodeError."""
+    try:
+        seq, algorithm = decode(stream)
+    except DecodeError as exc:
+        return str(exc)
+    return seq.symbols.tolist(), algorithm
+
+
 class TestMalformedStreams:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(st.binary(max_size=64), damaged_streams()))
@@ -485,12 +570,35 @@ class TestMalformedStreams:
         except DecodeError:
             pass
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @settings(max_examples=150, deadline=None)
+    @given(stream=st.one_of(st.binary(max_size=64), damaged_streams()))
+    def test_small_decode_steps_change_nothing(self, chunk, stream):
+        # the same symbols or the same error, however the records are batched
+        whole = decode_outcome(stream)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compressor, "_RECORD_CHUNK", chunk)
+            patch.setattr(compressor, "_WINDOW_BYTES", chunk)
+            assert decode_outcome(stream) == whole
+
     @pytest.mark.parametrize("algorithm", ["lz78", "castore"])
     @pytest.mark.parametrize("count", [2**40, 2**64 - 1])
     def test_forged_symbol_count(self, algorithm, count):
         stream = _pack_header(2, count, algorithm) + b"\x55" * 8
         with pytest.raises(DecodeError):
             decode(stream)
+
+    @pytest.mark.parametrize(
+        "encoder, bytes_named",
+        [(lz78_encode, [16, 16, 18, 18]), (castore_encode, [16, 16, 18, 18, 20, 21])],
+    )
+    def test_every_cut_names_the_field_it_cuts(self, encoder, bytes_named):
+        # the stream cut after 16, 17, ... bytes names the byte where the
+        # first field that no longer fits begins
+        stream, _ = encoder([0, 1, 2, 0, 0, 1, 1, 2, 2, 0, 1, 0, 2, 1, 0, 0, 0, 1], alphabet_size=3)
+        for cut, byte in zip(range(16, len(stream)), bytes_named, strict=True):
+            with pytest.raises(DecodeError, match=f"^stream truncated at byte {byte}$"):
+                decode(stream[:cut])
 
     def test_truncated(self):
         stream, _ = lz78_encode(list(range(8)) * 40, alphabet_size=8)
