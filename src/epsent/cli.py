@@ -98,8 +98,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    # sigma and lambda follow sweep's rules, so a bad one exits 2 naming its key
-    RunConfig(map=args.map, lam=args.lam, sigma=(args.sigma,))
+    # sigma, lambda and burn-in follow sweep's rules, and length its upper
+    # bound, so a bad one exits 2 naming its key before any orbit is built
+    RunConfig(map=args.map, lam=args.lam, sigma=(args.sigma,), burn_in=args.burn_in)
+    if args.length > compressor.MAX_SYMBOLS:
+        raise ConfigError(f"length: must be <= {compressor.MAX_SYMBOLS}, got {args.length}")
     spec = MapSpec(args.map, args.lam)
     noise = NoiseSpec(sigma=args.sigma, mode=args.noise_mode, boundary=args.boundary, seed=args.seed)
     if args.x0 is not None:
@@ -181,6 +184,8 @@ def _extend_symbols(out: array, text: str) -> None:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
+    # the alphabet follows sweep's --cells rule, checked before the file is read
+    RunConfig(n_list=(args.cells,))
     symbols = _read_symbols(args.input)
     encoder = getattr(compressor, compressor.CODERS[args.algorithm][0])
     stream, report = encoder(symbols, alphabet_size=args.cells)

@@ -57,7 +57,8 @@ class RunConfig:
     length: int = _param(1_000_000, "orbit length in symbols", lo=1000, hi=MAX_SYMBOLS)
     burn_in: int = _param(1000, "discarded start iterates", lo=0, hi=MAX_SYMBOLS)
     seed: int = _param(DEFAULT_SEED, "master seed")
-    workers: int = _param(1, "parallel worker processes", lo=1)
+    # each worker is a copy of the whole process, so their number is capped
+    workers: int = _param(1, "parallel worker processes", lo=1, hi=64)
     algorithm: str = _param("lz78", "compressor for the rate", choices=ALGORITHMS)
     p_samples: int = _param(
         20_000, "Monte-Carlo samples for the mismatch probability", lo=1, hi=MAX_SYMBOLS

@@ -46,16 +46,21 @@ def _entropy_from_counts(counts: np.ndarray, miller_madow: bool = False) -> floa
 
 def block_entropy(seq: SymbolicSequence, n: int, miller_madow: bool = False) -> float:
     """Plug-in entropy H_n of the sliding length-n word distribution."""
-    if n < 1:
-        raise ValueError(f"block length must be >= 1, got {n}")
-    (counts,) = block_counts(seq, n, n)
-    _warn_if_undersampled(seq, n, counts)
-    return _entropy_from_counts(counts, miller_madow)
+    return _block_entropy(seq, n, miller_madow)
 
 
 def block_entropy_rate(seq: SymbolicSequence, n: int, miller_madow: bool = False) -> float:
     """H_n / n, the depth-n block estimate of the entropy rate."""
-    return block_entropy(seq, n, miller_madow) / n
+    return _block_entropy(seq, n, miller_madow) / n
+
+
+def _block_entropy(seq: SymbolicSequence, n: int, miller_madow: bool) -> float:
+    # called by the two functions above only, so stacklevel 4 names their caller
+    if n < 1:
+        raise ValueError(f"block length must be >= 1, got {n}")
+    (counts,) = block_counts(seq, n, n)
+    _warn_if_undersampled(seq, n, counts, stacklevel=4)
+    return _entropy_from_counts(counts, miller_madow)
 
 
 def conditional_entropy(seq: SymbolicSequence, n: int, miller_madow: bool = False) -> float:
@@ -67,7 +72,7 @@ def conditional_entropy(seq: SymbolicSequence, n: int, miller_madow: bool = Fals
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     lo, hi = block_counts(seq, n, n + 1)
-    _warn_if_undersampled(seq, n + 1, hi)
+    _warn_if_undersampled(seq, n + 1, hi, stacklevel=3)
     h = _entropy_from_counts(hi, miller_madow) - _entropy_from_counts(lo, miller_madow)
     return min(max(h, 0.0), math.log2(seq.alphabet_size))
 
@@ -82,13 +87,16 @@ def _undersampled(counts: np.ndarray, length: int) -> bool:
     return len(counts) * SAMPLES_PER_WORD > length
 
 
-def _warn_if_undersampled(seq: SymbolicSequence, n: int, counts: np.ndarray) -> None:
+def _warn_if_undersampled(
+    seq: SymbolicSequence, n: int, counts: np.ndarray, stacklevel: int
+) -> None:
+    """Warn, blaming the frame ``stacklevel`` up, when ``counts`` is undersampled."""
     if _undersampled(counts, len(seq)):
         warnings.warn(
             f"length {len(seq)} below recommended {SAMPLES_PER_WORD * len(counts)} for "
             f"{n}-blocks over {seq.alphabet_size} symbols ({len(counts)} distinct words "
             "seen); estimate may be biased",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -132,7 +140,7 @@ class DepthSelection:
 def choose_n0(
     seq: SymbolicSequence,
     delta: float,
-    max_depth: int | None = None,
+    max_depth: int,
     miller_madow: bool = False,
 ) -> DepthSelection:
     """Smallest depth whose conditional entropy sits within ``delta`` of the
@@ -148,8 +156,6 @@ def choose_n0(
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    if max_depth is None:
-        max_depth = default_max_block(len(seq), seq.alphabet_size) - 1
     max_depth = max(1, max_depth)
     counts = block_counts(seq, 1, max_depth + 1)
     hs = [_entropy_from_counts(c, miller_madow) for c in counts]

@@ -20,6 +20,7 @@ from .dynamics import MapSpec, RealOrbit, map_branches
 
 _WIDTH_TOL = 1e-14
 _TOUCH_TOL = 1e-12
+REFINE_CAP = 10**6
 
 
 class ResourceLimitError(RuntimeError):
@@ -68,7 +69,6 @@ class SymbolicSequence:
 class CylinderSet:
     """Exact interval decomposition of a refined partition."""
 
-    depth: int
     intervals: list[tuple[float, float, tuple[int, ...]]]
     min_diameter: float
 
@@ -81,27 +81,23 @@ def encode(orbit: RealOrbit | np.ndarray | Sequence[float], partition: Partition
     return SymbolicSequence(symbols=symbols, alphabet_size=n)
 
 
-def refine_cylinders(
-    spec: MapSpec,
-    partition: Partition,
-    n: int,
-    cap: int = 10**6,
-) -> CylinderSet:
+def refine_cylinders(spec: MapSpec, partition: Partition, n: int) -> CylinderSet:
     """Cylinder intervals of depth ``n``: words (i0..i_{n-1}) with their
     exact interval of initial conditions.
 
     Built by recursion: depth-1 cylinders are the cells; a depth-(j+1)
     cylinder is a cell intersected with a branchwise preimage of a depth-j
     cylinder.  Only nonempty intervals are kept; pieces of one cylinder that
-    touch at a branch point are merged.
+    touch at a branch point are merged.  A refinement that may hold more
+    than REFINE_CAP intervals raises :class:`ResourceLimitError`.
     """
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     branches = map_branches(spec)
     bound = partition.n_cells * len(branches) ** n
-    if bound > cap:
+    if bound > REFINE_CAP:
         raise ResourceLimitError(
-            f"refinement may produce up to {bound} intervals, over the cap {cap}"
+            f"refinement may produce up to {bound} intervals, over the cap {REFINE_CAP}"
         )
 
     ncells = partition.n_cells
@@ -134,8 +130,8 @@ def refine_cylinders(
                 v = min(v, br.hi)
                 if v - u > _WIDTH_TOL:
                     nxt.extend(cell_pieces(u, v, word))
-        if len(nxt) > cap:
-            raise ResourceLimitError(f"refinement exceeded the cap {cap}")
+        if len(nxt) > REFINE_CAP:
+            raise ResourceLimitError(f"refinement exceeded the cap {REFINE_CAP}")
         cyls = nxt
 
     cyls.sort(key=lambda t: (t[0], t[1]))
@@ -148,7 +144,7 @@ def refine_cylinders(
             merged.append((lo, hi, word))
 
     min_diam = min((hi - lo) for lo, hi, _ in merged)
-    return CylinderSet(depth=n, intervals=merged, min_diameter=min_diam)
+    return CylinderSet(intervals=merged, min_diameter=min_diam)
 
 
 def block_counts(seq: SymbolicSequence, first: int, last: int) -> list[np.ndarray]:

@@ -213,7 +213,8 @@ def run_grid(config: RunConfig) -> list[EntropyCurve]:
     if config.workers == 1:
         results = [_orbit_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # a forking pool starts all max_workers processes at the first submit
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             results = list(pool.map(_orbit_task, tasks))
 
     curves = []

@@ -168,6 +168,7 @@ OUT_OF_RANGE = [
     # non-finite floats, which pass every comparison or fail it silently
     ("sigma", [math.nan]), ("sigma", [math.inf]), ("delta", math.nan), ("delta", math.inf),
     ("lambda", math.nan), ("lambda", math.inf), ("lambda", -math.inf),
+    ("workers", 65),
 ]
 
 # flag/key values that a config keeps, each at one edge of its range
@@ -176,7 +177,7 @@ IN_RANGE = [
     {"length": 1000}, {"length": 2**24},
     {"burn_in": 0}, {"burn_in": 2**24}, {"workers": 1}, {"p_samples": 1}, {"p_samples": 2**24},
     {"max_block": 2}, {"max_block": 62}, {"max_block": None},
-    {"lambda": 4.0}, {"lambda": 5.0, "map": "tent"},
+    {"lambda": 4.0}, {"lambda": 5.0, "map": "tent"}, {"workers": 64},
 ]
 
 
@@ -217,6 +218,8 @@ class TestConfigRanges:
             ("delta", ["--delta", "inf"]),
             ("burn_in", ["--burn-in", str(2**24 + 1)]),
             ("p_samples", ["--p-samples", str(2**24 + 1)]),
+            # a refused worker count starts no process
+            ("workers", ["--workers", "65"]),
         ],
     )
     def test_refusal_exits_2_before_any_orbit(self, monkeypatch, capsys, key, flags):
@@ -415,6 +418,11 @@ class TestSimulateCommand:
             (["--lambda", "nan"], "lambda: must be finite, got nan"),
             (["--lambda", "5"], "lambda: logistic parameter must be in (0, 4], got 5.0"),
             (["--x0", "0.3", "--sigma", "nan"], "sigma: must be finite, got nan"),
+            # the orbit's size follows the sweep's limits too
+            (["--burn-in", str(2**24 + 1)], "burn_in: must be in [0, 16777216], got 16777217"),
+            (["--burn-in", "-1"], "burn_in: must be in [0, 16777216], got -1"),
+            (["--length", str(2**24 + 1)], "length: must be <= 16777216, got 16777217"),
+            (["--x0", "0.3", "--length", str(2**24 + 1)], "length: must be <= 16777216, got 16777217"),
         ],
     )
     def test_bad_sigma_or_lambda_exits_2_before_any_orbit(self, tmp_path, monkeypatch, capsys, flags, message):
@@ -464,12 +472,14 @@ class TestCompressionCommands:
         assert dispatch(["decompress", str(bad), str(out)]) == 1
         assert "magic" in capsys.readouterr().err
 
-    def test_alphabet_beyond_stream_header_exits_1(self, tmp_path, capsys):
-        src = tmp_path / "in.txt"
-        src.write_text("0 1 2 1 0")
+    @pytest.mark.parametrize("cells", ["1", "70000"])
+    def test_alphabet_beyond_stream_header_exits_2(self, tmp_path, monkeypatch, capsys, cells):
+        monkeypatch.setattr(cli, "_read_symbols", lambda path: pytest.fail("the input was read"))
         packed = tmp_path / "out.bin"
-        assert dispatch(["compress", "--cells", "70000", str(src), str(packed)]) == 1
-        assert "alphabet size 70000 outside [2, 65535]" in capsys.readouterr().err
+        assert dispatch(["compress", "--cells", cells, str(tmp_path / "in.txt"), str(packed)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: n_list: must be in [2, 65535], got {cells}\n"
+        )
         assert not packed.exists()
 
     def test_missing_input_exits_1(self, tmp_path):

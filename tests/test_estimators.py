@@ -52,6 +52,12 @@ class TestBlockEntropyRate:
         with pytest.warns(UserWarning, match="recommended"):
             block_entropy_rate(iid_bits(200), 8)
 
+    @pytest.mark.parametrize("estimate", [block_entropy, block_entropy_rate, conditional_entropy])
+    def test_undersampling_warning_names_the_caller(self, estimate):
+        with pytest.warns(UserWarning, match="recommended") as record:
+            estimate(iid_bits(200), 8)
+        assert [w.filename for w in record] == [__file__]
+
     def test_block_entropy_monotone_in_depth(self):
         for seq in (periodic(2000), iid_bits(20_000, seed=3)):
             values = [block_entropy(seq, n) for n in range(1, 6)]
@@ -177,19 +183,19 @@ class TestBernoulliEntropy:
 
 class TestChooseN0:
     def test_iid_is_memoryless(self):
-        sel = choose_n0(iid_bits(200_000, seed=11), 0.05)
+        sel = choose_n0(iid_bits(200_000, seed=11), 0.05, max_depth=10)
         assert sel.n0 == 1
         assert sel.converged
 
     def test_doubling_map_is_one_step_markov(self):
         orbit = sample_invariant_orbit(MapSpec("doubling"), NoiseSpec(seed=13), 200_000)
-        sel = choose_n0(encode(orbit, Partition(2)), 0.05)
+        sel = choose_n0(encode(orbit, Partition(2)), 0.05, max_depth=10)
         assert sel.n0 == 1
         assert sel.converged
 
     def test_period_two_converges_immediately(self):
         # H2 - H1 = 0 = deepest value, so depth 1 already qualifies
-        sel = choose_n0(periodic(2000), 0.05)
+        sel = choose_n0(periodic(2000), 0.05, max_depth=4)
         assert sel.n0 == 1
         assert sel.gap == pytest.approx(0.0, abs=1e-6)
 
@@ -213,7 +219,7 @@ class TestChooseN0:
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
-            choose_n0(iid_bits(1000), 0.0)
+            choose_n0(iid_bits(1000), 0.0, max_depth=3)
 
     def test_default_max_block(self):
         assert default_max_block(1_000_000, 2) == 14

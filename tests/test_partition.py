@@ -102,7 +102,7 @@ class TestRefineCylinders:
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError, match="cap"):
-            refine_cylinders(MapSpec("doubling"), Partition(2), 25, cap=1000)
+            refine_cylinders(MapSpec("doubling"), Partition(2), 25)
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):

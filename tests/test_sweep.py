@@ -269,6 +269,43 @@ class TestSharedProbe:
         }
 
 
+class TestWorkerPool:
+    @pytest.mark.parametrize("workers, processes", [(2, 2), (4, 4), (64, 6)])
+    def test_pool_starts_at_most_one_process_per_task(self, monkeypatch, tmp_path, workers, processes):
+        # SMALL's 2 sigmas x min(workers, 3) slices make 6 tasks; a recorder
+        # stands in for the pool, so no process starts
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(epsent.sweep, "ProcessPoolExecutor", Recorder)
+        curves = run_grid(dataclasses.replace(SMALL, workers=workers))
+        assert sizes == [processes]
+        assert csv_sha256(curves, tmp_path) == CSV_SHA256["logistic"]
+
+
+class TestWarnings:
+    def test_undersampling_warnings_name_the_cell(self):
+        # 20,000 symbols undersample the 2-words of 250 cells, which both the
+        # block rate and the conditional entropy count
+        config = dataclasses.replace(SMALL, sigma=(0.1,), n_list=(250,))
+        with pytest.warns(UserWarning, match="recommended") as record:
+            run_grid(config)
+        assert len(record) == 2
+        assert {w.filename for w in record} == {epsent.sweep.__file__}
+
+
 class TestCsvEmission:
     def test_header_and_row_count(self, small_curves, tmp_path):
         path = tmp_path / "out.csv"
