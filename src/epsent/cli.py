@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 import warnings
 from array import array
@@ -98,9 +99,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    # sigma, lambda and burn-in follow sweep's rules, and length its upper
-    # bound, so a bad one exits 2 naming its key before any orbit is built
-    RunConfig(map=args.map, lam=args.lam, sigma=(args.sigma,), burn_in=args.burn_in)
+    # sigma, lambda, burn-in and seed follow sweep's rules, and length its
+    # upper bound, so a bad one exits 2 naming its key before any orbit is built
+    RunConfig(
+        map=args.map, lam=args.lam, sigma=(args.sigma,), burn_in=args.burn_in, seed=args.seed
+    )
     if args.length > compressor.MAX_SYMBOLS:
         raise ConfigError(f"length: must be <= {compressor.MAX_SYMBOLS}, got {args.length}")
     spec = MapSpec(args.map, args.lam)
@@ -213,6 +216,10 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    for flag, slope in (("--flat-slope", args.flat_slope), ("--noise-slope", args.noise_slope)):
+        # a nan threshold fails every comparison, so each edge would read undetected
+        if not math.isfinite(slope):
+            raise ConfigError(f"{flag}: must be finite, got {slope!r}")
     # the (eps, rate, plateau value) triple of a row that detect_sigma reads
     columns = ("eps", "compression_rate_bits", "cond_entropy_bits")
     by_sigma: dict[float, list[tuple[float, ...]]] = defaultdict(list)

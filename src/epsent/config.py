@@ -56,7 +56,8 @@ class RunConfig:
     )
     length: int = _param(1_000_000, "orbit length in symbols", lo=1000, hi=MAX_SYMBOLS)
     burn_in: int = _param(1000, "discarded start iterates", lo=0, hi=MAX_SYMBOLS)
-    seed: int = _param(DEFAULT_SEED, "master seed")
+    # seeds.mix keeps the low 64 bits, so any other seed would run as one of these
+    seed: int = _param(DEFAULT_SEED, "master seed", lo=0, hi=2**64 - 1)
     # each worker is a copy of the whole process, so their number is capped
     workers: int = _param(1, "parallel worker processes", lo=1, hi=64)
     algorithm: str = _param("lz78", "compressor for the rate", choices=ALGORITHMS)

@@ -18,8 +18,10 @@ all steps at once with numpy: a doubling window is 64 consecutive bits of
 the expansion, and a tent window is the same over the expansion with the
 tent folds XORed in at stride 65 (see :func:`_window_orbit`).  Dynamical
 noise re-quantizes the state from a double at every step, so that orbit is
-stepped one point at a time.  The logistic map has no such degeneracy and is
-iterated directly in double precision.
+stepped one point at a time by one integer loop.  The logistic map has no
+such degeneracy and is iterated directly in double precision by one float
+loop, with or without dynamical noise.  In both loops the boundary policy
+acts only on points that the noise sent outside [0,1].
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -102,13 +105,6 @@ class MapBranch:
     inverse: Callable[[float], float] = field(compare=False)
 
 
-def iterate_map(spec: MapSpec, x: float) -> float:
-    """Apply the map once to a point of [0,1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"point {x} outside [0,1]")
-    return float(iterate_map_array(spec, np.float64(x)))
-
-
 def iterate_map_array(spec: MapSpec, x: np.ndarray) -> np.ndarray:
     """Apply the map once to every point (no domain check)."""
     if spec.kind == "logistic":
@@ -162,16 +158,6 @@ def sample_noise(noise: NoiseSpec, count: int) -> np.ndarray:
     return rng.uniform(-noise.sigma, noise.sigma, size=count)
 
 
-def apply_boundary(y: float, policy: str) -> float:
-    """Map an arbitrary real back into [0,1] by clamping or reflection."""
-    if policy == "clamp":
-        return 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
-    if 0.0 <= y <= 1.0:
-        return y
-    y = y % 2.0
-    return 2.0 - y if y > 1.0 else y
-
-
 def apply_boundary_array(y: np.ndarray, policy: str) -> np.ndarray:
     """Map every point into [0,1] by the boundary policy; returns a new array."""
     if policy == "clamp":
@@ -190,26 +176,19 @@ def _lazy_bits(noise: NoiseSpec, count: int) -> np.ndarray:
     return rng.integers(0, 2, size=count, dtype=np.uint8)
 
 
-def _shift_state(kind: str, state: int, bit: int) -> int:
-    """Exact map step on the 64-bit binary-expansion window."""
-    top = state >> 63
-    state = ((state << 1) | bit) & _MASK64
-    if kind == "tent" and top:
-        state = _MASK64 - state
-    return state
-
-
 def _window_orbit(kind: str, state0: int, bits: np.ndarray) -> np.ndarray:
     """Points state_n / 2**64, n = 0..len(bits), of the noise-free shift orbit.
 
-    Gives the same states as stepping :func:`_shift_state` over ``bits``.  Let
-    ``ext`` be the 64 bits of ``state0``, most significant first, followed by
-    ``bits``.  For doubling, state_n is the window ext[n : n+64]; all windows
-    are packed at once by shift-and-OR over spans 1, 2, 4, ..., 32.  A tent
-    fold complements the whole window, so tent windows come from the folded
-    sequence e[k] = ext[k] ^ e[k-65] (e[k] = ext[k] for k < 65), a cumulative
-    XOR down the columns of ``ext`` laid out in rows of 65 bits: state_n is
-    the window e[n : n+64], complemented where e[n-1] == 1.
+    Gives the same states as the exact shift step of :func:`generate_orbit`
+    taken once per bit: shift the bit in, and for tent complement the window
+    when the bit shifted out was 1.  Let ``ext`` be the 64 bits of
+    ``state0``, most significant first, followed by ``bits``.  For doubling,
+    state_n is the window ext[n : n+64]; all windows are packed at once by
+    shift-and-OR over spans 1, 2, 4, ..., 32.  A tent fold complements the
+    whole window, so tent windows come from the folded sequence
+    e[k] = ext[k] ^ e[k-65] (e[k] = ext[k] for k < 65), a cumulative XOR down
+    the columns of ``ext`` laid out in rows of 65 bits: state_n is the window
+    e[n : n+64], complemented where e[n-1] == 1.
     """
     length = bits.size + 1
     ext = np.empty(bits.size + 64, dtype=np.uint8)
@@ -253,51 +232,56 @@ def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> R
         raise ValueError(f"length must be >= 1, got {length}")
 
     mode = noise.effective_mode
-    policy = noise.boundary
+    clamp = noise.boundary == "clamp"
     w = sample_noise(noise, length) if mode != "none" else None
 
+    acc = array("d")
+    append = acc.append
     if spec.kind == "logistic":
         lam = spec.lam
         x = x0
-        acc = array("d", [x])
-        append = acc.append
-        if mode != "dynamical":
-            for _ in range(length - 1):
-                x = lam * x * (1.0 - x)
-                append(x)
-        elif policy == "clamp":
-            for wn in w[1:].tolist():
-                x = lam * x * (1.0 - x) + wn
-                x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-                append(x)
-        else:
-            for wn in w[1:].tolist():
-                x = lam * x * (1.0 - x) + wn
-                if not 0.0 <= x <= 1.0:
+        append(x)
+        # -0.0, unlike 0.0, adds to every double without changing its bits
+        steps = w[1:].tolist() if mode == "dynamical" else repeat(-0.0, length - 1)
+        for wn in steps:
+            x = lam * x * (1.0 - x) + wn
+            if not 0.0 <= x <= 1.0:
+                if clamp:
+                    x = 0.0 if x < 0.0 else 1.0
+                else:
                     x %= 2.0
                     if x > 1.0:
                         x = 2.0 - x
-                append(x)
+            append(x)
         points = np.frombuffer(acc, dtype=np.float64)
     else:
-        bits = _lazy_bits(noise, length)
+        bits = _lazy_bits(noise, length)[:-1]
         state = min(int(x0 * _SCALE64), _MASK64)
-        if mode == "dynamical":
-            kind = spec.kind
-            bits = bits.tolist()
-            wl = w.tolist()
-            points = np.empty(length)
-            for n in range(length):
-                points[n] = state / _SCALE64
-                if n + 1 < length:
-                    state = _shift_state(kind, state, bits[n])
-                    y = apply_boundary(state / _SCALE64 + wl[n + 1], policy)
-                    state = min(int(y * _SCALE64), _MASK64)
+        if mode != "dynamical":
+            points = _window_orbit(spec.kind, state, bits)
         else:
-            points = _window_orbit(spec.kind, state, bits[:-1])
+            # one exact shift step, then the noise re-quantizes the window
+            tent = spec.kind == "tent"
+            for bit, wn in zip(bits.tolist(), w[1:].tolist()):
+                append(state / _SCALE64)
+                top = state >> 63
+                state = ((state << 1) | bit) & _MASK64
+                if tent and top:
+                    state = _MASK64 - state
+                y = state / _SCALE64 + wn
+                if not 0.0 <= y <= 1.0:
+                    if clamp:
+                        y = 0.0 if y < 0.0 else 1.0
+                    else:
+                        y %= 2.0
+                        if y > 1.0:
+                            y = 2.0 - y
+                state = min(int(y * _SCALE64), _MASK64)
+            append(state / _SCALE64)
+            points = np.frombuffer(acc, dtype=np.float64)
 
     if mode == "output":
-        points = apply_boundary_array(points + w, policy)
+        points = apply_boundary_array(points + w, noise.boundary)
     return RealOrbit(points=points)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import bounds, compressor, dynamics, estimators
 from .config import RunConfig
-from .dynamics import MapSpec, NoiseSpec, generate_orbit, iterate_map, sample_noise
+from .dynamics import MapSpec, NoiseSpec, generate_orbit, iterate_map_array, sample_noise
 from .partition import Partition, encode, refine_cylinders
 from .sweep import curves_to_rows, detect_sigma, run_grid
 
@@ -24,11 +24,10 @@ def _expect(ok: bool, why: str = "") -> None:
 
 
 def map_arithmetic() -> None:
-    logistic = MapSpec("logistic", 4.0)
-    _expect(iterate_map(logistic, 0.5) == 1.0)
-    _expect(iterate_map(logistic, 0.0) == 0.0)
-    _expect(abs(iterate_map(MapSpec("doubling"), 0.3) - 0.6) < 1e-12)
-    _expect(abs(iterate_map(MapSpec("tent"), 0.75) - 0.5) < 1e-12)
+    logistic = iterate_map_array(MapSpec("logistic", 4.0), np.array([0.5, 0.0]))
+    _expect(logistic.tolist() == [1.0, 0.0])
+    _expect(abs(float(iterate_map_array(MapSpec("doubling"), 0.3)) - 0.6) < 1e-12)
+    _expect(abs(float(iterate_map_array(MapSpec("tent"), 0.75)) - 0.5) < 1e-12)
 
 
 def noise_statistics() -> None:

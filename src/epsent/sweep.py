@@ -29,7 +29,6 @@ a point missing.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -213,7 +212,10 @@ def run_grid(config: RunConfig) -> list[EntropyCurve]:
     if config.workers == 1:
         results = [_orbit_task(t) for t in tasks]
     else:
-        # a forking pool starts all max_workers processes at the first submit
+        # imported here, so a 1-worker sweep loads no multiprocessing; a
+        # forking pool starts all max_workers processes at the first submit
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             results = list(pool.map(_orbit_task, tasks))
 

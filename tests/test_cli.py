@@ -169,6 +169,8 @@ OUT_OF_RANGE = [
     ("sigma", [math.nan]), ("sigma", [math.inf]), ("delta", math.nan), ("delta", math.inf),
     ("lambda", math.nan), ("lambda", math.inf), ("lambda", -math.inf),
     ("workers", 65),
+    # the seed streams mix 64 bits: -1 would run as 2**64 - 1, and 2**64 + 5 as 5
+    ("seed", -1), ("seed", 2**64), ("seed", 2**64 + 5),
 ]
 
 # flag/key values that a config keeps, each at one edge of its range
@@ -178,6 +180,7 @@ IN_RANGE = [
     {"burn_in": 0}, {"burn_in": 2**24}, {"workers": 1}, {"p_samples": 1}, {"p_samples": 2**24},
     {"max_block": 2}, {"max_block": 62}, {"max_block": None},
     {"lambda": 4.0}, {"lambda": 5.0, "map": "tent"}, {"workers": 64},
+    {"seed": 0}, {"seed": 2**64 - 1},
 ]
 
 
@@ -220,6 +223,8 @@ class TestConfigRanges:
             ("p_samples", ["--p-samples", str(2**24 + 1)]),
             # a refused worker count starts no process
             ("workers", ["--workers", "65"]),
+            ("seed", ["--seed", "-1"]),
+            ("seed", ["--seed", str(2**64 + 5)]),
         ],
     )
     def test_refusal_exits_2_before_any_orbit(self, monkeypatch, capsys, key, flags):
@@ -423,6 +428,12 @@ class TestSimulateCommand:
             (["--burn-in", "-1"], "burn_in: must be in [0, 16777216], got -1"),
             (["--length", str(2**24 + 1)], "length: must be <= 16777216, got 16777217"),
             (["--x0", "0.3", "--length", str(2**24 + 1)], "length: must be <= 16777216, got 16777217"),
+            # the seed streams keep 64 bits: these would run as 2**64 - 1 and as 5
+            (["--seed", "-1"], f"seed: must be in [0, {2**64 - 1}], got -1"),
+            (
+                ["--x0", "0.3", "--seed", str(2**64 + 5)],
+                f"seed: must be in [0, {2**64 - 1}], got {2**64 + 5}",
+            ),
         ],
     )
     def test_bad_sigma_or_lambda_exits_2_before_any_orbit(self, tmp_path, monkeypatch, capsys, flags, message):
@@ -579,6 +590,17 @@ class TestDetectCommand:
         out = capsys.readouterr().out
         assert "sigma=0.1" in out
         assert "status=" in out
+
+    @pytest.mark.parametrize("flag", ["--flat-slope", "--noise-slope"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_slope_exits_2(self, tmp_path, capsys, flag, value):
+        # a nan threshold would pass silently as status=undetermined
+        path = tmp_path / "sweep.csv"
+        path.write_text("sigma,eps,compression_rate_bits,cond_entropy_bits\n0.1,0.5,1,1\n")
+        assert dispatch(["detect", str(path), f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {flag}: must be finite, got {float(value)!r}\n"
+        assert captured.out == ""
 
     def test_detect_rejects_foreign_csv(self, tmp_path, capsys):
         path = tmp_path / "x.csv"

@@ -8,16 +8,41 @@ from epsent.dynamics import (
     NoiseSpec,
     RealOrbit,
     _lazy_bits,
-    _shift_state,
-    apply_boundary,
     apply_boundary_array,
     dump_orbit,
     generate_orbit,
-    iterate_map,
+    iterate_map_array,
     map_branches,
     sample_invariant_orbit,
     sample_noise,
 )
+
+
+_MASK64 = 2**64 - 1
+
+
+def iterate_map(spec: MapSpec, x: float) -> float:
+    """The map applied once to one point, as a float."""
+    return float(iterate_map_array(spec, np.float64(x)))
+
+
+def _shift_state(kind: str, state: int, bit: int) -> int:
+    """Reference map step on the 64-bit binary-expansion window."""
+    top = state >> 63
+    state = ((state << 1) | bit) & _MASK64
+    if kind == "tent" and top:
+        state = _MASK64 - state
+    return state
+
+
+def apply_boundary(y: float, policy: str) -> float:
+    """Reference fold of one real into [0,1] by clamping or reflection."""
+    if policy == "clamp":
+        return 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
+    if 0.0 <= y <= 1.0:
+        return y
+    y = y % 2.0
+    return 2.0 - y if y > 1.0 else y
 
 
 class TestIterateMap:
@@ -35,12 +60,6 @@ class TestIterateMap:
         assert iterate_map(MapSpec("tent"), 0.25) == pytest.approx(0.5)
         assert iterate_map(MapSpec("tent"), 0.75) == pytest.approx(0.5)
         assert iterate_map(MapSpec("tent"), 1.0) == pytest.approx(0.0)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            iterate_map(MapSpec("logistic", 4.0), 1.5)
-        with pytest.raises(ValueError):
-            iterate_map(MapSpec("doubling"), -0.1)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -98,6 +117,11 @@ class TestGenerateOrbit:
         noise = NoiseSpec(sigma=0.0, mode="dynamical", seed=5)
         orbit = generate_orbit(MapSpec("logistic", 4.0), 0.5, 3, noise)
         assert orbit.points == pytest.approx([0.5, 1.0, 0.0])
+
+    def test_noise_free_logistic_keeps_the_sign_of_zero(self):
+        # x0 = -0.0 is in [0,1]; its orbit is -0.0 at every step, as lam*x*(1-x) gives
+        orbit = generate_orbit(MapSpec("logistic", 4.0), -0.0, 4, NoiseSpec(seed=0))
+        assert orbit.points.tobytes() == np.full(4, -0.0).tobytes()
 
     def test_invalid_inputs(self):
         spec = MapSpec("logistic", 4.0)
@@ -161,15 +185,24 @@ class TestGenerateOrbit:
 
 
 def stepped_shift_orbit(kind: str, x0: float, length: int, noise: NoiseSpec) -> np.ndarray:
-    """Reference none/output orbit: one :func:`_shift_state` call per step."""
+    """Reference doubling/tent orbit: one :func:`_shift_state` call per step.
+
+    Under dynamical noise each step also folds ``state / 2**64 + w`` back
+    into [0,1] by :func:`apply_boundary` and re-quantizes it to a window.
+    """
+    mode = noise.effective_mode
     bits = _lazy_bits(noise, length).tolist()
-    state = min(int(x0 * 2.0**64), 2**64 - 1)
+    w = sample_noise(noise, length)
+    state = min(int(x0 * 2.0**64), _MASK64)
     points = np.empty(length)
     for n in range(length):
         points[n] = state / 2.0**64
         state = _shift_state(kind, state, bits[n])
-    if noise.effective_mode == "output":
-        points = apply_boundary_array(points + sample_noise(noise, length), noise.boundary)
+        if mode == "dynamical" and n + 1 < length:
+            y = apply_boundary(state / 2.0**64 + float(w[n + 1]), noise.boundary)
+            state = min(int(y * 2.0**64), _MASK64)
+    if mode == "output":
+        points = apply_boundary_array(points + w, noise.boundary)
     return points
 
 
@@ -197,6 +230,19 @@ class TestExactOrbits:
                 got = generate_orbit(spec, x0, length, noise).points
                 want = stepped_shift_orbit(kind, x0, length, noise)
                 assert got.tobytes() == want.tobytes(), (length, seed)
+
+    @pytest.mark.parametrize("kind", ["doubling", "tent"])
+    @pytest.mark.parametrize("boundary", ["clamp", "reflect"])
+    @pytest.mark.parametrize("sigma", [0.05, 0.4, 2.5])
+    def test_dynamical_shift_matches_stepped(self, kind, boundary, sigma):
+        spec = MapSpec(kind)
+        for x0 in (0.0, 0.3, 1.0):
+            for length in (1, 2, 3, 64, 65, 3000):
+                for seed in range(4):
+                    noise = NoiseSpec(sigma=sigma, mode="dynamical", boundary=boundary, seed=seed)
+                    got = generate_orbit(spec, x0, length, noise).points
+                    want = stepped_shift_orbit(kind, x0, length, noise)
+                    assert got.tobytes() == want.tobytes(), (x0, length, seed)
 
     @pytest.mark.parametrize("boundary", ["clamp", "reflect"])
     @pytest.mark.parametrize("sigma", [0.05, 0.4, 2.5])

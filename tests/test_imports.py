@@ -45,3 +45,10 @@ def test_coder_loads_neither_the_sweep_nor_a_process_pool():
     loaded = loaded_after("import epsent.compressor")
     assert "epsent.sweep" not in loaded
     assert "multiprocessing" not in loaded
+
+
+def test_cli_loads_no_process_pool():
+    # only a sweep with several workers imports the pool
+    loaded = loaded_after("import epsent.cli")
+    assert "epsent.sweep" in loaded
+    assert "multiprocessing" not in loaded

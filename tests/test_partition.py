@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from epsent.dynamics import MapSpec, NoiseSpec, generate_orbit, iterate_map
+from epsent.dynamics import MapSpec, NoiseSpec, generate_orbit, iterate_map_array
 from epsent.partition import (
     Partition,
     ResourceLimitError,
@@ -88,7 +88,7 @@ class TestRefineCylinders:
             itinerary = []
             for _ in range(depth):
                 itinerary.append(int(encode([x], part).symbols[0]))
-                x = iterate_map(spec, x)
+                x = float(iterate_map_array(spec, x))
             assert tuple(itinerary) == word, f"cylinder [{lo},{hi}]"
 
     def test_odd_cell_count_merges_pieces_across_branch_point(self):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
@@ -289,7 +290,7 @@ class TestWorkerPool:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(epsent.sweep, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         curves = run_grid(dataclasses.replace(SMALL, workers=workers))
         assert sizes == [processes]
         assert csv_sha256(curves, tmp_path) == CSV_SHA256["logistic"]
