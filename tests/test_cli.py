@@ -169,7 +169,7 @@ OUT_OF_RANGE = [
     ("sigma", [math.nan]), ("sigma", [math.inf]), ("delta", math.nan), ("delta", math.inf),
     ("lambda", math.nan), ("lambda", math.inf), ("lambda", -math.inf),
     ("workers", 65),
-    # the seed streams mix 64 bits: -1 would run as 2**64 - 1, and 2**64 + 5 as 5
+    # seeds.mix keeps the low 64 bits: -1 would run as 2**64 - 1, and 2**64 + 5 as 5
     ("seed", -1), ("seed", 2**64), ("seed", 2**64 + 5),
 ]
 
@@ -428,7 +428,7 @@ class TestSimulateCommand:
             (["--burn-in", "-1"], "burn_in: must be in [0, 16777216], got -1"),
             (["--length", str(2**24 + 1)], "length: must be <= 16777216, got 16777217"),
             (["--x0", "0.3", "--length", str(2**24 + 1)], "length: must be <= 16777216, got 16777217"),
-            # the seed streams keep 64 bits: these would run as 2**64 - 1 and as 5
+            # seeds.mix keeps the low 64 bits: these would run as 2**64 - 1 and as 5
             (["--seed", "-1"], f"seed: must be in [0, {2**64 - 1}], got -1"),
             (
                 ["--x0", "0.3", "--seed", str(2**64 + 5)],
