@@ -16,7 +16,6 @@ import csv
 import functools
 import math
 import sys
-import warnings
 from array import array
 from collections import defaultdict
 
@@ -99,13 +98,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    # sigma, lambda, burn-in and seed follow sweep's rules, and length its
-    # upper bound, so a bad one exits 2 naming its key before any orbit is built
+    # sigma, lambda, burn-in and seed follow sweep's rules, length its upper
+    # bound and x0 the unit interval, so a bad one exits 2 naming its key
+    # before any orbit is built
     RunConfig(
         map=args.map, lam=args.lam, sigma=(args.sigma,), burn_in=args.burn_in, seed=args.seed
     )
     if args.length > compressor.MAX_SYMBOLS:
         raise ConfigError(f"length: must be <= {compressor.MAX_SYMBOLS}, got {args.length}")
+    # nan fails this comparison too
+    if args.x0 is not None and not 0.0 <= args.x0 <= 1.0:
+        raise ConfigError(f"x0: must be in [0, 1], got {args.x0}")
     spec = MapSpec(args.map, args.lam)
     noise = NoiseSpec(sigma=args.sigma, mode=args.noise_mode, boundary=args.boundary, seed=args.seed)
     if args.x0 is not None:
@@ -117,73 +120,38 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# characters of a symbol file parsed, or symbols of one written, per step
+# bytes of a symbol file parsed, or symbols of one written, per step
 _TEXT_CHUNK = 1 << 18
 
 
-# digits to "1", and the whitespace that numpy's text reader skips as well
-# as str.split to " "
-_TOKEN_CHARS = bytes.maketrans(b"0123456789\t\n\v\f\r", b"1" * 10 + b" " * 5)
-
-
 def _read_symbols(path: str) -> np.ndarray:
-    """Whitespace-separated integers as int32, without an object per symbol."""
-    out = array("i")
-    tail = ""
-    with open(path) as fh:
-        while chunk := fh.read(_TEXT_CHUNK):
-            text = tail + chunk
-            # the last token may go on in the next chunk
-            if chunk[-1].isspace():
-                tail = ""
-            else:
-                *head, tail = text.rsplit(None, 1)
-                text = head[0] if head else ""
-            _extend_symbols(out, text)
-    _extend_symbols(out, tail)
-    return np.frombuffer(out, dtype=np.int32)
+    """Unsigned decimals separated by ASCII whitespace, as int32.
 
-
-def _digit_tokens(text: str) -> int | None:
-    """The number of tokens in text, if it holds only digits and ASCII
-    whitespace; otherwise None."""
-    if not text.isascii():
-        return None
-    kind = text.encode("ascii").translate(_TOKEN_CHARS)
-    if kind.translate(None, b" 1"):
-        return None
-    return kind.count(b" 1") + kind.startswith(b"1")
-
-
-def _extend_symbols(out: array, text: str) -> None:
-    """Append the whitespace-separated integers of text to out, as int() reads them.
-
-    Text of digits and ASCII whitespace alone is parsed by numpy's C reader:
-    each token is an unsigned decimal, which int() would read the same.  The
-    result is kept when it has one value per token and each fits in int32.
-    Any other text takes the int() loop, so it gives the same symbols or the
-    same error as that loop.
+    Any other token, or a value past int32, raises ValueError naming it.
     """
-    tokens = _digit_tokens(text)
-    if tokens is not None:
-        try:
-            with warnings.catch_warnings():
-                # numpy reports a partial read by ValueError, or in older
-                # versions by this warning; either sends the text to int()
-                warnings.simplefilter("error", DeprecationWarning)
+    out = array("i")
+    tail = b""
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_TEXT_CHUNK)
+            text, tail = tail + chunk, b""
+            if chunk and not chunk[-1:].isspace():
+                # the last token may go on in the next chunk
+                *head, tail = text.rsplit(None, 1)
+                text = head[0] if head else b""
+            if text.translate(None, b"0123456789 \t\n\v\f\r"):
+                # bytes split and isdigit know ASCII whitespace and digits alone
+                bad = next(tok for tok in text.split() if not tok.isdigit())
+                raise ValueError(f"symbol {repr(bad)[1:]} is not an unsigned decimal")
+            # numpy reads a blank text as [0], and a number past int64 as its maximum
+            if not text.isspace():
                 values = np.fromstring(text, dtype=np.int64, sep=" ")
-        except (DeprecationWarning, ValueError):
-            values = None
-        # a blank text reads as [0]; a number past int64 reads clamped
-        if values is not None and values.size == tokens and values.max(initial=0) < 2**31:
-            out.frombytes(values.astype(np.int32).tobytes())
-            return
-    tokens = text.split()
-    try:
-        out.extend(map(int, tokens))
-    except OverflowError:
-        bad = next(tok for tok in tokens if not -(2**31) <= int(tok) < 2**31)
-        raise ValueError(f"symbol {bad} out of bounds for int32") from None
+                if values.max(initial=0) >= 2**31:
+                    bad = text.split()[int(np.argmax(values >= 2**31))]
+                    raise ValueError(f"symbol {bad.decode()} out of bounds for int32")
+                out.frombytes(values.astype(np.int32).tobytes())
+            if not chunk:
+                return np.frombuffer(out, dtype=np.int32)
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:

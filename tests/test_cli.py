@@ -434,6 +434,10 @@ class TestSimulateCommand:
                 ["--x0", "0.3", "--seed", str(2**64 + 5)],
                 f"seed: must be in [0, {2**64 - 1}], got {2**64 + 5}",
             ),
+            # generate_orbit would refuse these with exit 1
+            (["--x0", "1.5"], "x0: must be in [0, 1], got 1.5"),
+            (["--x0", "-0.1"], "x0: must be in [0, 1], got -0.1"),
+            (["--x0", "nan"], "x0: must be in [0, 1], got nan"),
         ],
     )
     def test_bad_sigma_or_lambda_exits_2_before_any_orbit(self, tmp_path, monkeypatch, capsys, flags, message):
@@ -451,6 +455,17 @@ class TestSimulateCommand:
         assert dispatch([*argv, "--out", str(default)]) == 0
         assert dispatch([*argv, "--boundary", "reflect", "--out", str(reflect)]) == 0
         assert default.read_bytes() == reflect.read_bytes()
+
+
+# the texts of test_symbol_file_read_as_int_reads_it that int() reads but a
+# symbol file may not hold, and the first token of each that is not an
+# unsigned decimal, named by its bytes
+NOT_DECIMAL = {
+    "+5 -0 0012 -7": "'+5'",
+    "1_0 3 \u0663": "'1_0'",
+    "4\xa05 6": r"'4\xc2\xa05'",
+    "7\x1c8": r"'7\x1c8'",
+}
 
 
 class TestCompressionCommands:
@@ -501,8 +516,8 @@ class TestCompressionCommands:
         [
             ("0x1", "'0x1'"),
             ("4294967296", "4294967296"),
-            ("1.5", "error: invalid literal for int() with base 10: '1.5'"),
-            ("1-2", "error: invalid literal for int() with base 10: '1-2'"),
+            ("1.5", "error: symbol '1.5' is not an unsigned decimal"),
+            ("1-2", "error: symbol '1-2' is not an unsigned decimal"),
             # numpy's reader clamps this to 2**63 - 1; int() reads it whole
             ("99999999999999999999", "error: symbol 99999999999999999999 out of bounds for int32"),
         ],
@@ -514,6 +529,21 @@ class TestCompressionCommands:
         assert dispatch(["compress", "--cells", "2", str(src), str(packed)]) == 1
         assert message in capsys.readouterr().err
         assert not packed.exists()
+
+    def test_non_ascii_byte_exits_1(self, tmp_path, capsys):
+        # not UTF-8 either: the reader names the byte, not a decoding error
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"0 1\n\xff 0\n")
+        assert dispatch(["compress", "--cells", "2", str(src), str(tmp_path / "out.bin")]) == 1
+        assert capsys.readouterr().err == "error: symbol '\\xff' is not an unsigned decimal\n"
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_bad_token_across_read_chunks_is_named_whole(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_TEXT_CHUNK", chunk)
+        src = tmp_path / "in.txt"
+        src.write_text("12 3456.789 0")
+        with pytest.raises(ValueError, match=r"^symbol '3456\.789' is not an unsigned decimal$"):
+            cli._read_symbols(str(src))
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 18])
     def test_symbol_file_parsed_across_read_chunks(self, tmp_path, monkeypatch, chunk):
@@ -538,11 +568,21 @@ class TestCompressionCommands:
             "\v1\f2\r3",
         ],
     )
-    def test_symbol_file_read_as_int_reads_it(self, tmp_path, monkeypatch, chunk, text):
-        # texts on which numpy's C reader and int() disagree or need care
+    def test_symbol_file_read_as_int_reads_it(self, tmp_path, monkeypatch, capsys, chunk, text):
+        # texts on which numpy's C reader and int() disagree or need care: the
+        # whitespace texts read as int() reads them, the others exit 1 naming
+        # their first token that is not an unsigned decimal, as bytes
         monkeypatch.setattr(cli, "_TEXT_CHUNK", chunk)
         src = tmp_path / "in.txt"
         src.write_text(text)
+        if text in NOT_DECIMAL:
+            packed = tmp_path / "out.bin"
+            assert dispatch(["compress", "--cells", "2", str(src), str(packed)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: symbol {NOT_DECIMAL[text]} is not an unsigned decimal\n"
+            )
+            assert not packed.exists()
+            return
         symbols = cli._read_symbols(str(src))
         assert symbols.dtype == np.int32
         assert symbols.tolist() == [int(tok) for tok in text.split()]
