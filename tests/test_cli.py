@@ -518,7 +518,7 @@ class TestCompressionCommands:
             ("4294967296", "4294967296"),
             ("1.5", "error: symbol '1.5' is not an unsigned decimal"),
             ("1-2", "error: symbol '1-2' is not an unsigned decimal"),
-            # numpy's reader clamps this to 2**63 - 1; int() reads it whole
+            # numpy's reader clamps this to 2**63 - 1; the message keeps the token as written
             ("99999999999999999999", "error: symbol 99999999999999999999 out of bounds for int32"),
         ],
     )
