@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable
 
@@ -93,56 +93,36 @@ class RealOrbit:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class MapBranch:
-    """One monotone branch: domain, range and the inverse on that range."""
-
-    lo: float
-    hi: float
-    range_lo: float
-    range_hi: float
-    increasing: bool
-    inverse: Callable[[float], float] = field(compare=False)
-
-
 def iterate_map_array(spec: MapSpec, x: np.ndarray) -> np.ndarray:
     """Apply the map once to every point (no domain check)."""
     if spec.kind == "logistic":
         return spec.lam * x * (1.0 - x)
     if spec.kind == "doubling":
         y = 2.0 * x
-        out = y - np.floor(y)
-        return np.where(x >= 1.0, 0.0, out)
+        return y - np.floor(y)
     return 1.0 - np.abs(1.0 - 2.0 * x)
 
 
-def map_branches(spec: MapSpec) -> tuple[MapBranch, ...]:
-    """Monotone branch decomposition used by cylinder refinement."""
+def map_branches(spec: MapSpec) -> tuple[float, tuple[Callable[[float], float], ...]]:
+    """The shared two-branch layout, as ``(top, inverses)``.
+
+    Every supported map takes [0, 1/2] and [1/2, 1] each monotonically onto
+    [0, top], with top = lam/4 for the logistic map and 1 otherwise.
+    ``inverses[k]`` sends [0, top] back into branch k's half of [0,1].
+    """
     if spec.kind == "logistic":
         lam = spec.lam
-        top = lam / 4.0
 
-        def inv_left(y: float, lam: float = lam) -> float:
-            arg = max(0.0, 1.0 - 4.0 * y / lam)
-            return 0.5 * (1.0 - math.sqrt(arg))
+        def inv_left(y: float) -> float:
+            return 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * y / lam)))
 
-        def inv_right(y: float, lam: float = lam) -> float:
-            arg = max(0.0, 1.0 - 4.0 * y / lam)
-            return 0.5 * (1.0 + math.sqrt(arg))
+        def inv_right(y: float) -> float:
+            return 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * y / lam)))
 
-        return (
-            MapBranch(0.0, 0.5, 0.0, top, True, inv_left),
-            MapBranch(0.5, 1.0, 0.0, top, False, inv_right),
-        )
+        return lam / 4.0, (inv_left, inv_right)
     if spec.kind == "doubling":
-        return (
-            MapBranch(0.0, 0.5, 0.0, 1.0, True, lambda y: 0.5 * y),
-            MapBranch(0.5, 1.0, 0.0, 1.0, True, lambda y: 0.5 * (1.0 + y)),
-        )
-    return (
-        MapBranch(0.0, 0.5, 0.0, 1.0, True, lambda y: 0.5 * y),
-        MapBranch(0.5, 1.0, 0.0, 1.0, False, lambda y: 1.0 - 0.5 * y),
-    )
+        return 1.0, (lambda y: 0.5 * y, lambda y: 0.5 * (1.0 + y))
+    return 1.0, (lambda y: 0.5 * y, lambda y: 1.0 - 0.5 * y)
 
 
 def sample_noise(noise: NoiseSpec, count: int) -> np.ndarray:

@@ -4,9 +4,12 @@ A partition of N cells has diameter 1/N; cells are half-open except the last,
 so every point of [0,1] lands in exactly one cell.  Refining a partition under
 a piecewise monotone map yields the cylinder intervals of depth n: maximal
 intervals of initial conditions sharing a length-n symbol word.  These are
-computed exactly by pulling cell endpoints back through the monotone branch
-inverses, never from sampled data.  The sliding-window word counts of a
-symbolic sequence come from one word-rank ladder (:func:`block_counts`).
+computed exactly by pulling cell endpoints back through the two branch
+inverses, never from sampled data.  This relies on the layout every map
+shares (:func:`~epsent.dynamics.map_branches`): each half of [0,1] maps onto
+[0, top], so each preimage lands in its own half.  The sliding-window word
+counts of a symbolic sequence come from one word-rank ladder
+(:func:`block_counts`).
 """
 
 from __future__ import annotations
@@ -55,10 +58,13 @@ class SymbolicSequence:
         if symbols.size:
             if symbols.dtype.kind not in "iu":
                 raise ValueError(f"symbols must have an integer dtype, not {symbols.dtype}")
-            if int(symbols.max()) >= min(self.alphabet_size, 2**31):
-                raise ValueError("symbol out of alphabet range")
-            if int(symbols.min()) < 0:
-                raise ValueError("negative symbol")
+            limit = min(self.alphabet_size, 2**31)
+            if int(symbols.max()) >= limit or int(symbols.min()) < 0:
+                # name the first offending symbol in sequence order
+                bad = int(symbols[np.argmax((symbols < 0) | (symbols >= limit))])
+                if bad < 0:
+                    raise ValueError(f"negative symbol {bad}")
+                raise ValueError(f"symbol {bad} out of alphabet range [0, {limit})")
         self.symbols = symbols.astype(np.int32, copy=False)
 
     def __len__(self) -> int:
@@ -87,14 +93,15 @@ def refine_cylinders(spec: MapSpec, partition: Partition, n: int) -> CylinderSet
 
     Built by recursion: depth-1 cylinders are the cells; a depth-(j+1)
     cylinder is a cell intersected with a branchwise preimage of a depth-j
-    cylinder.  Only nonempty intervals are kept; pieces of one cylinder that
-    touch at a branch point are merged.  A refinement that may hold more
-    than REFINE_CAP intervals raises :class:`ResourceLimitError`.
+    cylinder: its part in the shared range [0, top] pulled back through one
+    branch inverse.  Only nonempty intervals are kept; pieces of one
+    cylinder that touch at a branch point are merged.  A refinement that may
+    hold more than REFINE_CAP intervals raises :class:`ResourceLimitError`.
     """
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
-    branches = map_branches(spec)
-    bound = partition.n_cells * len(branches) ** n
+    top, inverses = map_branches(spec)
+    bound = partition.n_cells * len(inverses) ** n
     if bound > REFINE_CAP:
         raise ResourceLimitError(
             f"refinement may produce up to {bound} intervals, over the cap {REFINE_CAP}"
@@ -106,8 +113,8 @@ def refine_cylinders(spec: MapSpec, partition: Partition, n: int) -> CylinderSet
 
     def cell_pieces(lo: float, hi: float, word: tuple[int, ...]):
         """Split [lo,hi] along the cell grid, prepending the cell symbol."""
-        i_lo = max(0, min(int(lo * ncells), ncells - 1))
-        i_hi = max(0, min(int(np.ceil(hi * ncells)) - 1, ncells - 1))
+        i_lo = min(int(lo * ncells), ncells - 1)
+        i_hi = min(int(np.ceil(hi * ncells)) - 1, ncells - 1)
         for i in range(i_lo, i_hi + 1):
             a = max(lo, grid[i])
             b = min(hi, grid[i + 1])
@@ -117,17 +124,14 @@ def refine_cylinders(spec: MapSpec, partition: Partition, n: int) -> CylinderSet
     cyls = list(cell_pieces(0.0, 1.0, ()))
     for _ in range(n - 1):
         nxt: list[tuple[float, float, tuple[int, ...]]] = []
-        for br in branches:
+        for inverse in inverses:
             for lo, hi, word in cyls:
-                a = max(lo, br.range_lo)
-                b = min(hi, br.range_hi)
-                if b - a <= _WIDTH_TOL:
+                # a piece reaching less than _WIDTH_TOL into [0, top] would
+                # pull back to a sliver about 1e-7 wide
+                b = min(hi, top)
+                if b - lo <= _WIDTH_TOL:
                     continue
-                u, v = br.inverse(a), br.inverse(b)
-                if not br.increasing:
-                    u, v = v, u
-                u = max(u, br.lo)
-                v = min(v, br.hi)
+                u, v = sorted((inverse(lo), inverse(b)))
                 if v - u > _WIDTH_TOL:
                     nxt.extend(cell_pieces(u, v, word))
         if len(nxt) > REFINE_CAP:

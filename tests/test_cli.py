@@ -520,6 +520,7 @@ class TestCompressionCommands:
             ("1-2", "error: symbol '1-2' is not an unsigned decimal"),
             # numpy's reader clamps this to 2**63 - 1; the message keeps the token as written
             ("99999999999999999999", "error: symbol 99999999999999999999 out of bounds for int32"),
+            ("5", "error: symbol 5 out of alphabet range [0, 2)"),
         ],
     )
     def test_bad_token_exits_1(self, tmp_path, capsys, token, message):

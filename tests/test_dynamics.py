@@ -70,13 +70,14 @@ class TestIterateMap:
             MapSpec("logistic", 0.0)
 
     def test_branches_cover_interval(self):
+        # each inverse sends [0, top] into its own half of [0,1]
         for spec in (MapSpec("logistic", 3.7), MapSpec("doubling"), MapSpec("tent")):
-            branches = map_branches(spec)
-            assert branches[0].lo == 0.0 and branches[-1].hi == 1.0
-            for br in branches:
-                mid_y = 0.5 * (br.range_lo + br.range_hi)
-                x = br.inverse(mid_y)
-                assert br.lo <= x <= br.hi
+            top, inverses = map_branches(spec)
+            assert len(inverses) == 2
+            mid_y = 0.5 * top
+            for (lo, hi), inverse in zip([(0.0, 0.5), (0.5, 1.0)], inverses):
+                x = inverse(mid_y)
+                assert lo <= x <= hi
                 assert iterate_map(spec, x) == pytest.approx(mid_y, abs=1e-12)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -35,6 +36,17 @@ class TestEncode:
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             Partition(1)
+
+
+# sha256 over repr((intervals, min_diameter)) of each refinement of
+# test_refinement_pinned_exactly, in its loop order
+REFINE_SHA256 = {
+    ("logistic", 4.0): "1fec74c7822051e43f33cbace952e7c06bbe4e7addf25dd9fc858550559d5f27",
+    ("logistic", 3.7): "edaee3f6f4480ca3c60d9926f53024f64e4e7793d35fa928d0e49d93db6d71ad",
+    ("logistic", 3.0): "8bbb002230f8ab300954c5192354ca6cf9f108cfc15f3dfd3792e51297f8f1d9",
+    ("doubling", 4.0): "d113516dfb9a612f00bf572f7a3d056de9844877ae6caf0d5d58106e2f3caa0e",
+    ("tent", 4.0): "22c854fdd64fb564c4361858aa6fa517c0ce185642a26ac7104d04a335ceeb63",
+}
 
 
 class TestRefineCylinders:
@@ -99,6 +111,16 @@ class TestRefineCylinders:
         assert total == pytest.approx(1.0, abs=1e-12)
         mid = [iv for iv in cyl.intervals if iv[0] < 0.5 < iv[1]]
         assert len(mid) <= 1
+
+    @pytest.mark.parametrize("kind,lam", list(REFINE_SHA256))
+    def test_refinement_pinned_exactly(self, kind, lam):
+        # exact floats, not approx: N in {2, 3, 5, 8} and depths 1..5
+        digest = hashlib.sha256()
+        for n_cells in (2, 3, 5, 8):
+            for depth in range(1, 6):
+                cyl = refine_cylinders(MapSpec(kind, lam), Partition(n_cells), depth)
+                digest.update(repr((cyl.intervals, cyl.min_diameter)).encode())
+        assert digest.hexdigest() == REFINE_SHA256[(kind, lam)]
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError, match="cap"):
