@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Callable
 
@@ -81,6 +81,12 @@ class NoiseSpec:
     def effective_mode(self) -> str:
         """sigma == 0 behaves exactly like mode 'none' regardless of mode."""
         return "none" if self.sigma == 0.0 else self.mode
+
+    @property
+    def feedback(self) -> NoiseSpec:
+        """The share of this noise that enters the recurrence: all of it in
+        dynamical mode, none in output mode, where it never feeds back."""
+        return self if self.mode == "dynamical" else replace(self, sigma=0.0, mode="none")
 
 
 @dataclass
@@ -222,7 +228,7 @@ def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> R
         x = x0
         append(x)
         # -0.0, unlike 0.0, adds to every double without changing its bits
-        steps = w[1:].tolist() if mode == "dynamical" else repeat(-0.0, length - 1)
+        steps = memoryview(w)[1:] if mode == "dynamical" else repeat(-0.0, length - 1)
         for wn in steps:
             x = lam * x * (1.0 - x) + wn
             if not 0.0 <= x <= 1.0:
@@ -242,7 +248,7 @@ def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> R
         else:
             # one exact shift step, then the noise re-quantizes the window
             tent = spec.kind == "tent"
-            for bit, wn in zip(bits.tolist(), w[1:].tolist()):
+            for bit, wn in zip(memoryview(bits), memoryview(w)[1:]):
                 append(state / _SCALE64)
                 top = state >> 63
                 state = ((state << 1) | bit) & _MASK64

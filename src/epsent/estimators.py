@@ -11,9 +11,9 @@ Each call reads its block entropies off one word-rank ladder
 never index the N^D word space, and sum each depth's counts in lexicographic
 word order.
 
-The one-step mismatch probability p that the bounds take is estimated in two
-steps: :func:`mismatch_probe` samples the perturbed system once, and
-:func:`estimate_p` compares cells on that sample for one partition.
+The one-step mismatch probability p that the bounds take is estimated by
+:func:`estimate_p` on the probe images f(x) that the sweep builds once per
+sigma, comparing cells for one partition.
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    MapSpec,
-    NoiseSpec,
-    apply_boundary_array,
-    iterate_map_array,
-    sample_invariant_orbit,
-)
+from .dynamics import NoiseSpec, apply_boundary_array
 from .partition import Partition, SymbolicSequence, block_counts, encode
-from .seeds import PROBE_NOISE_STREAM, PROBE_ORBIT_STREAM, mix
+from .seeds import PROBE_NOISE_STREAM, mix
 
 
 def _entropy_from_counts(counts: np.ndarray, miller_madow: bool = False) -> float:
@@ -168,34 +162,12 @@ def choose_n0(
     return DepthSelection(n0, abs(ces[n0 - 1] - target), n0 < depth, depth, tuple(ces))
 
 
-def mismatch_probe(spec: MapSpec, noise: NoiseSpec, samples: int, burn_in: int) -> np.ndarray:
-    """Images f(x) of ``samples`` points x of a burned-in orbit of the system.
-
-    These are the base points of :func:`estimate_p`.  The base orbit carries
-    the dynamical noise of ``noise`` and is noise-free in output mode, where
-    the noise never feeds back into the dynamics; it is seeded by
-    ``mix(noise.seed, PROBE_ORBIT_STREAM)``.  The probe depends on the
-    perturbed system only, so every partition can share one.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    base_sigma = noise.sigma if noise.mode == "dynamical" else 0.0
-    base = NoiseSpec(
-        sigma=base_sigma,
-        mode="dynamical" if base_sigma > 0.0 else "none",
-        boundary=noise.boundary,
-        seed=mix(noise.seed, PROBE_ORBIT_STREAM),
-    )
-    orbit = sample_invariant_orbit(spec, base, samples, burn_in)
-    return iterate_map_array(spec, orbit.points)
-
-
 def estimate_p(fx: np.ndarray, partition: Partition, noise: NoiseSpec) -> tuple[float, float]:
     """Monte-Carlo one-step cell-mismatch probability and 95% half-width.
 
     Estimates P{ cell(policy(f(x) + w)) != cell(f(x)) } over the probe
-    images ``fx`` (see :func:`mismatch_probe`), with one w per image drawn
-    fresh from the noise law, seeded by ``mix(noise.seed, PROBE_NOISE_STREAM)``.
+    images ``fx`` that the sweep builds, with one w per image drawn fresh
+    from the noise law, seeded by ``mix(noise.seed, PROBE_NOISE_STREAM)``.
     ``fx`` is not modified.
     """
     samples = len(fx)

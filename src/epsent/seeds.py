@@ -54,6 +54,11 @@ def orbit_seed(master_seed: int, sigma_index: int) -> int:
     return mix(master_seed, ORBIT_STREAM, sigma_index)
 
 
+def probe_seed(master_seed: int, sigma_index: int) -> int:
+    """Seed for the orbit whose images are one sigma's mismatch probe."""
+    return mix(orbit_seed(master_seed, sigma_index), PROBE_ORBIT_STREAM)
+
+
 def companion_seed(master_seed: int) -> int:
     """Seed for the noise-free companion run of a sweep."""
     return mix(master_seed, COMPANION_STREAM)

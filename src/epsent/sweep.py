@@ -37,17 +37,16 @@ import numpy as np
 from .bounds import BoundSet, envelope
 from .compressor import CODERS, castore_encode, lz78_encode
 from .config import RunConfig
-from .dynamics import MapSpec, NoiseSpec, RealOrbit, sample_invariant_orbit
+from .dynamics import MapSpec, NoiseSpec, RealOrbit, iterate_map_array, sample_invariant_orbit
 from .estimators import (
     block_entropy_rate,
     choose_n0,
     conditional_entropy,
     default_max_block,
     estimate_p,
-    mismatch_probe,
 )
 from .partition import Partition, encode, refine_cylinders
-from .seeds import cell_seed, companion_seed, orbit_seed
+from .seeds import cell_seed, companion_seed, orbit_seed, probe_seed
 
 @dataclass(frozen=True)
 class CompanionStats:
@@ -154,13 +153,16 @@ def _orbit_task(
 ) -> list[CurvePoint]:
     """Build grid sigma ``si``'s noisy orbit and mismatch probe and observe
     them with each partition ``(ei, n, comp)`` of ``parts``; both die with
-    the task."""
+    the task.  The probe is the images f(x) of a second orbit, driven by
+    the noise's feedback alone."""
     config, si, sigma, parts = args
     seed = orbit_seed(config.seed, si)
     noise = NoiseSpec(sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed)
     spec = MapSpec(config.map, config.lam)
     orbit = sample_invariant_orbit(spec, noise, config.length, config.burn_in)
-    fx = mismatch_probe(spec, noise, config.p_samples, config.burn_in)
+    base = replace(noise.feedback, seed=probe_seed(config.seed, si))
+    probe = sample_invariant_orbit(spec, base, config.p_samples, config.burn_in)
+    fx = iterate_map_array(spec, probe.points)
     return [_cell_task(config, orbit, fx, noise, si, ei, n, comp) for ei, n, comp in parts]
 
 

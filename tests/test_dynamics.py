@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,29 @@ class TestGenerateOrbit:
         orbit = generate_orbit(MapSpec("tent"), 0.3, 10_000, NoiseSpec(seed=29))
         tail = orbit.points[100:]
         assert float(tail.std()) > 0.2
+
+    @pytest.mark.parametrize("kind", ["logistic", "doubling", "tent"])
+    def test_dynamical_loop_reads_the_noise_in_place(self, kind):
+        # the noise and the points take 16 bytes a step, the lazy bits 1 more;
+        # a per-step list of Python floats would add about 32
+        length = 20_000
+        noise = NoiseSpec(sigma=0.01, mode="dynamical", seed=3)
+        generate_orbit(MapSpec(kind), 0.3, 10, noise)  # one-off allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            generate_orbit(MapSpec(kind), 0.3, length, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * length, f"{peak / length:.1f} bytes per step"
+
+    @pytest.mark.parametrize("mode", ["none", "output", "dynamical"])
+    def test_feedback_keeps_only_dynamical_noise(self, mode):
+        noise = NoiseSpec(sigma=0.1, mode=mode, boundary="clamp", seed=9)
+        feedback = noise.feedback
+        fed = mode == "dynamical"
+        assert (feedback.sigma, feedback.effective_mode) == ((0.1, mode) if fed else (0.0, "none"))
+        assert (feedback.boundary, feedback.seed) == ("clamp", 9)
 
 
 def stepped_shift_orbit(kind: str, x0: float, length: int, noise: NoiseSpec) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epsent.dynamics
-from epsent.dynamics import MapSpec, NoiseSpec, sample_invariant_orbit
+from epsent.dynamics import MapSpec, NoiseSpec, iterate_map_array, sample_invariant_orbit
 from epsent.estimators import (
     _entropy_from_counts,
     bernoulli_entropy,
@@ -17,7 +17,6 @@ from epsent.estimators import (
     conditional_entropy,
     default_max_block,
     estimate_p,
-    mismatch_probe,
 )
 from epsent.partition import Partition, SymbolicSequence, encode
 
@@ -227,8 +226,15 @@ class TestChooseN0:
         assert default_max_block(5000, 2) == 6
 
 
+def probe(spec, noise, samples):
+    """The sweep's mismatch probe: images f(x) of a burned-in orbit driven by
+    the noise's feedback."""
+    orbit = sample_invariant_orbit(spec, noise.feedback, samples, 1000)
+    return iterate_map_array(spec, orbit.points)
+
+
 def probe_p(spec, part, noise, samples):
-    return estimate_p(mismatch_probe(spec, noise, samples, 1000), part, noise)
+    return estimate_p(probe(spec, noise, samples), part, noise)
 
 
 class TestEstimateP:
@@ -274,7 +280,7 @@ class TestSharedProbe:
     @pytest.fixture
     def fx(self):
         noise = NoiseSpec(sigma=0.05, mode="dynamical", seed=7)
-        return mismatch_probe(MapSpec("logistic", 4.0), noise, 20_000, 1000)
+        return probe(MapSpec("logistic", 4.0), noise, 20_000)
 
     def test_cell_seeds_draw_different_noise(self, fx):
         a = estimate_p(fx, Partition(8), NoiseSpec(sigma=0.05, mode="dynamical", seed=1))
@@ -299,7 +305,5 @@ class TestSharedProbe:
 
     def test_validation(self, fx):
         noise = NoiseSpec(sigma=0.05, mode="dynamical", seed=1)
-        with pytest.raises(ValueError):
-            mismatch_probe(MapSpec("logistic", 4.0), noise, 0, 1000)
         with pytest.raises(ValueError):
             estimate_p(fx[:0], Partition(8), noise)

@@ -28,7 +28,7 @@ def test_orbit_seeds_differ_from_cell_seeds():
 def test_probe_seeds_differ_from_every_sweep_seed():
     master = 0x5EEDC0DE
     orbit = {seeds.orbit_seed(master, si) for si in range(5)}
-    probe = {seeds.mix(seed, seeds.PROBE_ORBIT_STREAM) for seed in orbit}
+    probe = {seeds.probe_seed(master, si) for si in range(5)}
     cells = {seeds.cell_seed(master, si, ei) for si in range(5) for ei in range(12)}
     assert len(probe) == 5
     assert not probe & (orbit | cells | {seeds.companion_seed(master)})

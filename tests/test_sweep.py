@@ -9,7 +9,7 @@ import pytest
 
 import epsent.sweep
 from epsent.config import RunConfig
-from epsent.seeds import companion_seed, orbit_seed
+from epsent.seeds import companion_seed, orbit_seed, probe_seed
 from epsent.sweep import (
     CSV_COLUMNS,
     companion_stats,
@@ -36,6 +36,7 @@ TENT_SMALL = dataclasses.replace(SMALL, map="tent", noise_mode="output", algorit
 CSV_SHA256 = {
     "logistic": "40c9b70071d228e13686cc1035ae2b1e6e369f38a1b4614882024f41d57930d8",
     "tent": "000da354cba534abda94476cfabd28a7769f9c3e3480f39715cefc0a4e94d931",
+    "headline": "380e83efb28e3c07b0a20f56d70dfdb3ea12dd9ce3c51b64793b5eba329e7970",
 }
 
 
@@ -184,6 +185,13 @@ class TestRunGrid:
     def test_tent_output_castore_csv_bytes_pinned(self, tmp_path):
         assert csv_sha256(run_grid(TENT_SMALL), tmp_path) == CSV_SHA256["tent"]
 
+    # the shipped grid warns that its finest partitions are undersampled
+    @pytest.mark.filterwarnings("ignore:length 50000 below recommended")
+    def test_headline_csv_bytes_pinned(self, tmp_path):
+        # the benchmark's headline workload: the default grid at 50,000 symbols on 1 worker
+        curves = run_grid(RunConfig(length=50_000, workers=1))
+        assert csv_sha256(curves, tmp_path) == CSV_SHA256["headline"]
+
     def test_input_order_does_not_matter(self, small_curves, tmp_path):
         shuffled = dataclasses.replace(SMALL, sigma=(0.01, 0.1), n_list=(8, 2, 4))
         curves = run_grid(shuffled)
@@ -193,19 +201,30 @@ class TestRunGrid:
         assert a.read_bytes() == b.read_bytes()
 
 
+def sigma_builds(config, si):
+    """(seed, length, burn_in) of sigma ``si``'s orbit and of its probe's orbit."""
+    return [
+        (orbit_seed(config.seed, si), config.length, config.burn_in),
+        (probe_seed(config.seed, si), config.p_samples, config.burn_in),
+    ]
+
+
 class TestSharedOrbit:
+    """Every orbit a sweep draws, the probes' included, goes through one name."""
+
     def test_one_orbit_per_sigma(self, monkeypatch):
-        seeds = []
+        calls = []
         generate = epsent.sweep.sample_invariant_orbit
 
         def recording(spec, noise, length, burn_in=1000):
-            seeds.append(noise.seed)
+            calls.append((noise.seed, length, burn_in))
             return generate(spec, noise, length, burn_in)
 
         monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording)
-        run_grid(SMALL)
-        assert seeds == [companion_seed(SMALL.seed)] + [
-            orbit_seed(SMALL.seed, si) for si in range(len(SMALL.sigma))
+        config = dataclasses.replace(SMALL, burn_in=700)
+        run_grid(config)
+        assert calls == [(companion_seed(config.seed), config.length, config.burn_in)] + [
+            build for si in range(len(config.sigma)) for build in sigma_builds(config, si)
         ]
 
     @pytest.mark.skipif(
@@ -219,54 +238,21 @@ class TestSharedOrbit:
 
         def recording(spec, noise, length, burn_in=1000):
             with open(log, "a") as fh:
-                fh.write(f"{noise.seed}\n")
+                fh.write(f"{noise.seed} {length} {burn_in}\n")
             return generate(spec, noise, length, burn_in)
 
         monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording)
-        run_grid(dataclasses.replace(SMALL, workers=workers))
-        slices = min(workers, len(SMALL.n_list))
-        assert Counter(int(line) for line in log.read_text().split()) == {
-            companion_seed(SMALL.seed): 1,
-            **{orbit_seed(SMALL.seed, si): slices for si in range(len(SMALL.sigma))},
-        }
-
-
-class TestSharedProbe:
-    def test_one_probe_per_sigma(self, monkeypatch):
-        calls = []
-        probe = epsent.sweep.mismatch_probe
-
-        def recording(spec, noise, samples, burn_in):
-            calls.append((noise.seed, samples, burn_in))
-            return probe(spec, noise, samples, burn_in)
-
-        monkeypatch.setattr(epsent.sweep, "mismatch_probe", recording)
-        config = dataclasses.replace(SMALL, burn_in=700)
+        config = dataclasses.replace(SMALL, workers=workers)
         run_grid(config)
-        assert calls == [
-            (orbit_seed(config.seed, si), config.p_samples, config.burn_in)
-            for si in range(len(config.sigma))
-        ]
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="pool workers see the recording probe builder only when forked",
-    )
-    @pytest.mark.parametrize("workers", [2, 5])
-    def test_each_sigma_probe_built_once_per_slice(self, monkeypatch, tmp_path, workers):
-        log = tmp_path / "probes.txt"
-        probe = epsent.sweep.mismatch_probe
-
-        def recording(spec, noise, samples, burn_in):
-            with open(log, "a") as fh:
-                fh.write(f"{noise.seed}\n")
-            return probe(spec, noise, samples, burn_in)
-
-        monkeypatch.setattr(epsent.sweep, "mismatch_probe", recording)
-        run_grid(dataclasses.replace(SMALL, workers=workers))
-        slices = min(workers, len(SMALL.n_list))
-        assert Counter(int(line) for line in log.read_text().split()) == {
-            orbit_seed(SMALL.seed, si): slices for si in range(len(SMALL.sigma))
+        slices = min(workers, len(config.n_list))
+        builds = Counter(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+        assert builds == {
+            (companion_seed(config.seed), config.length, config.burn_in): 1,
+            **{
+                build: slices
+                for si in range(len(config.sigma))
+                for build in sigma_builds(config, si)
+            },
         }
 
 

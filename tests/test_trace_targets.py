@@ -54,8 +54,9 @@ def test_sweep_stages_run_through_traced_names(tracing):
         epsent.sweep.run_grid(config)
 
     orbits = tracer.named("dynamics.orbit")
-    # one orbit per sigma plus the noise-free companion's
-    assert len(orbits) == len(config.sigma) + 1
+    # the noise-free companion's orbit, then each sigma's orbit and its probe's
+    observed, probe = config.length + config.burn_in, config.p_samples + config.burn_in
+    assert [span.counts["steps"] for span in orbits] == [observed] + [observed, probe] * len(config.sigma)
     assert len(tracer.named("sweep.cell")) == len(config.sigma) * len(config.n_list)
     for span in orbits:
         parent = span.parent
