@@ -9,6 +9,7 @@ import pytest
 
 import epsent.sweep
 from epsent.config import RunConfig
+from epsent.dynamics import MapSpec, NoiseSpec, sample_invariant_orbit
 from epsent.seeds import companion_seed, orbit_seed, probe_seed
 from epsent.sweep import (
     CSV_COLUMNS,
@@ -253,6 +254,75 @@ class TestSharedOrbit:
                 for si in range(len(config.sigma))
                 for build in sigma_builds(config, si)
             },
+        }
+
+
+def probe_points(config, si):
+    """The orbit points whose images are sigma ``si``'s mismatch probe."""
+    noise = NoiseSpec(
+        sigma=config.sigma[si], mode=config.noise_mode, boundary=config.boundary,
+        seed=probe_seed(config.seed, si),
+    )
+    spec = MapSpec(config.map, config.lam)
+    return sample_invariant_orbit(spec, noise.feedback, config.p_samples, config.burn_in).points
+
+
+class TestSharedProbe:
+    """Each sigma maps one probe orbit, and only its own, to the images f(x)."""
+
+    def test_one_probe_per_sigma(self, monkeypatch):
+        builds, mapped = {}, []
+        generate, iterate = epsent.sweep.sample_invariant_orbit, epsent.sweep.iterate_map_array
+
+        def recording_build(spec, noise, length, burn_in=1000):
+            orbit = generate(spec, noise, length, burn_in)
+            builds[id(orbit.points)] = (noise, length, burn_in)
+            return orbit
+
+        def recording_map(spec, x):
+            mapped.append(builds[id(x)])
+            return iterate(spec, x)
+
+        monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording_build)
+        monkeypatch.setattr(epsent.sweep, "iterate_map_array", recording_map)
+        # the probe takes all of dynamical noise and none of output noise
+        for config in (SMALL, TENT_SMALL):
+            config = dataclasses.replace(config, burn_in=700)
+            mapped.clear()
+            run_grid(config)
+            assert mapped == [
+                (
+                    NoiseSpec(
+                        sigma=sigma, mode=config.noise_mode, boundary=config.boundary,
+                        seed=probe_seed(config.seed, si),
+                    ).feedback,
+                    config.p_samples,
+                    config.burn_in,
+                )
+                for si, sigma in enumerate(config.sigma)
+            ]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers see the recording probe mapper only when forked",
+    )
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_each_sigma_probe_built_once_per_slice(self, monkeypatch, tmp_path, workers):
+        log = tmp_path / "probes.txt"
+        iterate = epsent.sweep.iterate_map_array
+
+        def recording(spec, x):
+            with open(log, "a") as fh:
+                fh.write(hashlib.sha256(x.tobytes()).hexdigest() + "\n")
+            return iterate(spec, x)
+
+        monkeypatch.setattr(epsent.sweep, "iterate_map_array", recording)
+        config = dataclasses.replace(SMALL, workers=workers)
+        run_grid(config)
+        slices = min(workers, len(config.n_list))
+        assert Counter(log.read_text().split()) == {
+            hashlib.sha256(probe_points(config, si).tobytes()).hexdigest(): slices
+            for si in range(len(config.sigma))
         }
 
 
