@@ -198,13 +198,22 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 print(f"{args.csv}: not a sweep CSV, no {column} column", file=sys.stderr)
                 return EXIT_RUNTIME
         for row in reader:
-            by_sigma[float(row["sigma"])].append(tuple(float(row[c]) for c in columns))
+            sigma = float(row["sigma"])
+            if not math.isfinite(sigma):
+                raise ValueError(f"sigma {sigma!r} is not finite")
+            by_sigma[sigma].append(tuple(float(row[c]) for c in columns))
+    # every curve is read before any line is printed, so a bad one leaves stdout empty
+    lines = []
     for sigma in sorted(by_sigma, reverse=True):
-        det = detect_sigma(by_sigma[sigma], args.flat_slope, args.noise_slope)
+        try:
+            det = detect_sigma(by_sigma[sigma], args.flat_slope, args.noise_slope)
+        except ValueError as exc:
+            raise ValueError(f"sigma={sigma:g}: {exc}") from exc
         est = f" sigma_estimate={det.sigma_estimate:.6g}" if det.status == "detected" else ""
-        print(
-            f"sigma={sigma:g} status={det.status} eps2={det.eps2:.6g} eps1={det.eps1:.6g}{est}"
+        lines.append(
+            f"sigma={sigma:g} status={det.status} eps2={det.eps2:.6g} eps1={det.eps1:.6g}{est}\n"
         )
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

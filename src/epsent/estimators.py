@@ -38,23 +38,19 @@ def _entropy_from_counts(counts: np.ndarray, miller_madow: bool = False) -> floa
     return h
 
 
-def block_entropy(seq: SymbolicSequence, n: int, miller_madow: bool = False) -> float:
-    """Plug-in entropy H_n of the sliding length-n word distribution."""
-    return _block_entropy(seq, n, miller_madow)
-
-
 def block_entropy_rate(seq: SymbolicSequence, n: int, miller_madow: bool = False) -> float:
     """H_n / n, the depth-n block estimate of the entropy rate."""
-    return _block_entropy(seq, n, miller_madow) / n
-
-
-def _block_entropy(seq: SymbolicSequence, n: int, miller_madow: bool) -> float:
-    # called by the two functions above only, so stacklevel 4 names their caller
-    if n < 1:
-        raise ValueError(f"block length must be >= 1, got {n}")
     (counts,) = block_counts(seq, n, n)
-    _warn_if_undersampled(seq, n, counts, stacklevel=4)
-    return _entropy_from_counts(counts, miller_madow)
+    _warn_if_undersampled(seq, n, counts)
+    return _entropy_from_counts(counts, miller_madow) / n
+
+
+def _increments(seq: SymbolicSequence, counts: list[np.ndarray], miller_madow: bool) -> list[float]:
+    """Increments H_{d+1} - H_d over consecutive ladder ``counts``, each
+    clipped into [0, log2 N]."""
+    hs = [_entropy_from_counts(c, miller_madow) for c in counts]
+    top = math.log2(seq.alphabet_size)
+    return [min(max(hi - lo, 0.0), top) for lo, hi in zip(hs, hs[1:])]
 
 
 def conditional_entropy(seq: SymbolicSequence, n: int, miller_madow: bool = False) -> float:
@@ -63,12 +59,10 @@ def conditional_entropy(seq: SymbolicSequence, n: int, miller_madow: bool = Fals
     This is the entropy of the next symbol conditioned on the previous n,
     under the empirical sliding-window measure.
     """
-    if n < 1:
-        raise ValueError(f"depth must be >= 1, got {n}")
-    lo, hi = block_counts(seq, n, n + 1)
-    _warn_if_undersampled(seq, n + 1, hi, stacklevel=3)
-    h = _entropy_from_counts(hi, miller_madow) - _entropy_from_counts(lo, miller_madow)
-    return min(max(h, 0.0), math.log2(seq.alphabet_size))
+    counts = block_counts(seq, n, n + 1)
+    _warn_if_undersampled(seq, n + 1, counts[1])
+    (h,) = _increments(seq, counts, miller_madow)
+    return h
 
 
 # samples per observed word that a block count needs to be trusted
@@ -81,16 +75,14 @@ def _undersampled(counts: np.ndarray, length: int) -> bool:
     return len(counts) * SAMPLES_PER_WORD > length
 
 
-def _warn_if_undersampled(
-    seq: SymbolicSequence, n: int, counts: np.ndarray, stacklevel: int
-) -> None:
-    """Warn, blaming the frame ``stacklevel`` up, when ``counts`` is undersampled."""
+def _warn_if_undersampled(seq: SymbolicSequence, n: int, counts: np.ndarray) -> None:
+    """Warn, blaming the estimator's caller, when ``counts`` is undersampled."""
     if _undersampled(counts, len(seq)):
         warnings.warn(
             f"length {len(seq)} below recommended {SAMPLES_PER_WORD * len(counts)} for "
             f"{n}-blocks over {seq.alphabet_size} symbols ({len(counts)} distinct words "
             "seen); estimate may be biased",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
 
 
@@ -106,8 +98,6 @@ def bernoulli_entropy(p: float) -> float:
 def default_max_block(length: int, alphabet_size: int) -> int:
     """Deepest block length with >= SAMPLES_PER_WORD expected samples per
     word, of all N^n possible ones (min 2)."""
-    if length <= SAMPLES_PER_WORD:
-        return 2
     return max(2, int(math.floor(math.log(length / SAMPLES_PER_WORD) / math.log(alphabet_size))))
 
 
@@ -152,9 +142,7 @@ def choose_n0(
         raise ValueError(f"delta must be > 0, got {delta}")
     max_depth = max(1, max_depth)
     counts = block_counts(seq, 1, max_depth + 1)
-    hs = [_entropy_from_counts(c, miller_madow) for c in counts]
-    top = math.log2(seq.alphabet_size)
-    ces = [min(max(h_hi - h_lo, 0.0), top) for h_lo, h_hi in zip(hs, hs[1:])]
+    ces = _increments(seq, counts, miller_madow)
     sampled = [d for d in range(1, max_depth + 1) if not _undersampled(counts[d], len(seq))]
     depth = max(sampled, default=1)
     target = ces[depth - 1]

@@ -98,8 +98,8 @@ def periodic_estimators() -> None:
     seq = encode(np.tile([0.25, 0.75], 500)[:-1], Partition(2))
     _expect(abs(estimators.block_entropy_rate(seq, 4) - 0.25) < 1e-9)
     _expect(estimators.conditional_entropy(seq, 2) < 1e-9)
-    # 499 each of 01 and 10: the ladder's counts give exactly one bit
-    _expect(estimators.block_entropy(seq, 2) == 1.0)
+    # 499 each of 01 and 10: the ladder's counts give exactly one bit, half a bit per symbol
+    _expect(estimators.block_entropy_rate(seq, 2) == 0.5)
 
 
 def mismatch_probability() -> None:

@@ -256,10 +256,23 @@ def detect_sigma(
     is steep and monotone.  A bare (eps, rate) sequence uses the one series
     for both edges; (eps, rate, plateau_value) triples split them the same
     way the full curve does.
+
+    Raises ValueError naming the value when an eps is not finite and > 0 or
+    repeats, or when a rate or plateau value is not finite.
     """
     if isinstance(curve, EntropyCurve):
         curve = [(p.eps, p.compression_rate, p.cond_entropy) for p in curve.points]
     rows = sorted((tuple(map(float, row)) for row in curve), key=lambda t: -t[0])
+    seen: set[float] = set()
+    for e, *values in rows:
+        if not (math.isfinite(e) and e > 0.0):
+            raise ValueError(f"eps {e!r} must be finite and > 0")
+        if e in seen:
+            raise ValueError(f"eps {e!r} repeats")
+        seen.add(e)
+        for name, v in zip(("rate", "plateau value"), values):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} {v!r} at eps {e!r} is not finite")
     eps = [r[0] for r in rows]
     noise_series = [r[1] for r in rows]
     plateau_series = [r[2] if len(r) > 2 else r[1] for r in rows]

@@ -643,6 +643,47 @@ class TestDetectCommand:
         assert captured.err == f"configuration error: {flag}: must be finite, got {float(value)!r}\n"
         assert captured.out == ""
 
+    GOOD_BLOCK = [("0.5", "1", "1"), ("0.25", "1", "1"), ("0.125", "1", "1"), ("0.0625", "1", "1")]
+
+    @pytest.mark.parametrize(
+        "row, value, named",
+        [
+            (1, ("0.5", "1", "1"), "eps 0.5 repeats"),
+            (1, ("0", "1", "1"), "eps 0.0 must be finite and > 0"),
+            (1, ("-0.25", "1", "1"), "eps -0.25 must be finite and > 0"),
+            (1, ("nan", "1", "1"), "eps nan must be finite and > 0"),
+            (1, ("inf", "1", "1"), "eps inf must be finite and > 0"),
+            (1, ("0.25", "nan", "1"), "rate nan at eps 0.25 is not finite"),
+            (2, ("0.125", "1", "-inf"), "plateau value -inf at eps 0.125 is not finite"),
+        ],
+        ids=["repeat", "zero", "negative", "nan", "inf", "nan_rate", "inf_plateau"],
+    )
+    def test_unreadable_curve_exits_1_before_printing(self, tmp_path, capsys, row, value, named):
+        # sigma=0.2 is read, and would be printed, before the bad sigma=0.1
+        bad = list(self.GOOD_BLOCK)
+        bad[row] = value
+        lines = ["sigma,eps,compression_rate_bits,cond_entropy_bits"]
+        lines += [",".join(("0.2", *r)) for r in self.GOOD_BLOCK]
+        lines += [",".join(("0.1", *r)) for r in bad]
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert dispatch(["detect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sigma=0.1: {named}\n"
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_sigma_exits_1(self, tmp_path, capsys, sigma):
+        lines = ["sigma,eps,compression_rate_bits,cond_entropy_bits"]
+        lines += [",".join(("0.2", *r)) for r in self.GOOD_BLOCK]
+        lines += [",".join((sigma, *r)) for r in self.GOOD_BLOCK]
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert dispatch(["detect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sigma {float(sigma)!r} is not finite\n"
+
     def test_detect_rejects_foreign_csv(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         path.write_text("a,b\n1,2\n")

@@ -11,7 +11,6 @@ from epsent.dynamics import MapSpec, NoiseSpec, iterate_map_array, sample_invari
 from epsent.estimators import (
     _entropy_from_counts,
     bernoulli_entropy,
-    block_entropy,
     block_entropy_rate,
     choose_n0,
     conditional_entropy,
@@ -51,7 +50,7 @@ class TestBlockEntropyRate:
         with pytest.warns(UserWarning, match="recommended"):
             block_entropy_rate(iid_bits(200), 8)
 
-    @pytest.mark.parametrize("estimate", [block_entropy, block_entropy_rate, conditional_entropy])
+    @pytest.mark.parametrize("estimate", [block_entropy_rate, conditional_entropy])
     def test_undersampling_warning_names_the_caller(self, estimate):
         with pytest.warns(UserWarning, match="recommended") as record:
             estimate(iid_bits(200), 8)
@@ -59,7 +58,7 @@ class TestBlockEntropyRate:
 
     def test_block_entropy_monotone_in_depth(self):
         for seq in (periodic(2000), iid_bits(20_000, seed=3)):
-            values = [block_entropy(seq, n) for n in range(1, 6)]
+            values = [n * block_entropy_rate(seq, n) for n in range(1, 6)]
             for a, b in zip(values, values[1:]):
                 assert b >= a - 1e-6
 
@@ -95,7 +94,7 @@ def assert_matches_reference(n, symbols, depth, miller_madow):
     seq = SymbolicSequence(np.array(symbols), n)
     hs = [reference_block_entropy(symbols, d, miller_madow) for d in range(1, depth + 2)]
     ces = tuple(min(max(hi - lo, 0.0), math.log2(n)) for lo, hi in zip(hs, hs[1:]))
-    assert block_entropy(seq, depth, miller_madow) == hs[depth - 1]
+    assert block_entropy_rate(seq, depth, miller_madow) == hs[depth - 1] / depth
     assert conditional_entropy(seq, depth, miller_madow) == ces[-1]
     assert choose_n0(seq, 0.05, depth, miller_madow).cond_entropies == ces
 
@@ -129,12 +128,12 @@ class TestLadderReference:
 
     def test_depth_validation(self):
         seq = SymbolicSequence(np.array([0, 1, 0]), 2)
-        with pytest.raises(ValueError):
-            block_entropy(seq, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1 <= first"):
+            block_entropy_rate(seq, 0)
+        with pytest.raises(ValueError, match="1 <= first"):
             conditional_entropy(seq, 0)
         with pytest.raises(ValueError):
-            block_entropy(seq, 4)
+            block_entropy_rate(seq, 4)
         with pytest.raises(ValueError):
             conditional_entropy(seq, 3)
 
@@ -156,6 +155,14 @@ class TestConditionalEntropy:
             seq = SymbolicSequence(rng.integers(0, 3, size=60), 3)
             ce = conditional_entropy(seq, 2)
             assert 0.0 <= ce <= math.log2(3)
+
+    @pytest.mark.filterwarnings("ignore:length .* below recommended")
+    def test_miller_madow_increment_clipped_to_log2_n(self):
+        # the corrected H_2 - H_1 of these 100 bits is 1.014 bits; both
+        # estimators clip it to the alphabet's 1 bit
+        seq = iid_bits(100, seed=1)
+        assert conditional_entropy(seq, 1, miller_madow=True) == 1.0
+        assert choose_n0(seq, 0.05, 1, miller_madow=True).cond_entropies == (1.0,)
 
 
 class TestBernoulliEntropy:
@@ -224,6 +231,8 @@ class TestChooseN0:
         assert default_max_block(1_000_000, 2) == 14
         assert default_max_block(1_000_000, 250) == 2
         assert default_max_block(5000, 2) == 6
+        # below 2 * SAMPLES_PER_WORD symbols no depth is positive; the floor is 2
+        assert [default_max_block(length, 2) for length in (1, 49, 50, 99)] == [2] * 4
 
 
 def probe(spec, noise, samples):

@@ -52,3 +52,15 @@ def test_cli_loads_no_process_pool():
     loaded = loaded_after("import epsent.cli")
     assert "epsent.sweep" in loaded
     assert "multiprocessing" not in loaded
+
+
+def top_level(modules: set[str]) -> set[str]:
+    return {name.split(".")[0] for name in modules}
+
+
+@pytest.mark.parametrize("statement", ["import epsent.cli", "import epsent.sweep, concurrent.futures"])
+def test_numpy_is_the_only_runtime_dependency(statement):
+    # a bare interpreter may already load site packages from .pth files
+    bare = top_level(loaded_after("pass"))
+    added = top_level(loaded_after(statement)) - bare - sys.stdlib_module_names
+    assert added == {"epsent", "numpy"}

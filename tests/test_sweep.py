@@ -81,6 +81,24 @@ class TestDetectSigma:
         det = detect_sigma([(e, 1.0) for e in self.dense_grid()])
         assert math.isnan(det.sigma_estimate)
 
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ([(0.5, 1.0), (0.5, 1.0), (0.25, 1.0), (0.125, 1.0)], "eps 0.5 repeats"),
+            ([(0.5, 1.0), (0.0, 1.0), (0.25, 1.0), (0.125, 1.0)], "eps 0.0 must be"),
+            ([(0.5, 1.0), (-0.25, 1.0), (0.125, 1.0), (0.0625, 1.0)], "eps -0.25 must be"),
+            ([(0.5, 1.0), (math.inf, 1.0), (0.125, 1.0), (0.0625, 1.0)], "eps inf must be"),
+            ([(0.5, 1.0), (math.nan, 1.0), (0.125, 1.0), (0.0625, 1.0)], "eps nan must be"),
+            ([(0.5, 1.0, 1.0), (0.25, math.nan, 1.0), (0.125, 1.0, 1.0)], "rate nan at eps 0.25"),
+            ([(0.5, 1.0, 1.0), (0.25, 1.0, -math.inf)], "plateau value -inf at eps 0.25"),
+        ],
+    )
+    def test_refuses_an_unreadable_curve(self, rows, named):
+        # checked before the short-curve shortcut, so a bad value never reads
+        # as a status
+        with pytest.raises(ValueError, match=named):
+            detect_sigma(rows)
+
     @staticmethod
     def triples(curve):
         return [(p.eps, p.compression_rate, p.cond_entropy) for p in curve.points]
