@@ -198,10 +198,23 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 print(f"{args.csv}: not a sweep CSV, no {column} column", file=sys.stderr)
                 return EXIT_RUNTIME
         for row in reader:
-            sigma = float(row["sigma"])
+            values = []
+            for column in ("sigma", *columns):
+                text = row[column]
+                try:
+                    values.append(float(text))
+                except (TypeError, ValueError):
+                    what = "no value" if text is None else f"{text!r} is not a number"
+                    where = f"{args.csv} line {reader.line_num}, column {column}"
+                    raise ValueError(f"{where}: {what}") from None
+            sigma, *triple = values
             if not math.isfinite(sigma):
                 raise ValueError(f"sigma {sigma!r} is not finite")
-            by_sigma[sigma].append(tuple(float(row[c]) for c in columns))
+            if sigma < 0.0:
+                raise ValueError(f"sigma {sigma!r} must be >= 0")
+            by_sigma[sigma].append(tuple(triple))
+    if not by_sigma:
+        raise ValueError(f"{args.csv}: no rows")
     # every curve is read before any line is printed, so a bad one leaves stdout empty
     lines = []
     for sigma in sorted(by_sigma, reverse=True):

@@ -39,6 +39,7 @@ from .compressor import CODERS, castore_encode, lz78_encode
 from .config import RunConfig
 from .dynamics import MapSpec, NoiseSpec, RealOrbit, iterate_map_array, sample_invariant_orbit
 from .estimators import (
+    DepthSelection,
     block_entropy_rate,
     choose_n0,
     conditional_entropy,
@@ -47,18 +48,6 @@ from .estimators import (
 )
 from .partition import Partition, encode, refine_cylinders
 from .seeds import cell_seed, companion_seed, orbit_seed, probe_seed
-
-@dataclass(frozen=True)
-class CompanionStats:
-    """Noise-free reference quantities for one partition of the grid."""
-
-    n_cells: int
-    h_eps: float
-    delta_gap: float
-    n0: int
-    eps_n0: float
-    converged: bool
-
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -113,8 +102,10 @@ def _max_block(config: RunConfig, n: int) -> int:
     return default_max_block(config.length, n)
 
 
-def companion_stats(config: RunConfig) -> list[CompanionStats]:
-    """Noise-free run of the configured system, summarized per partition."""
+def companion_stats(config: RunConfig) -> list[tuple[DepthSelection, float]]:
+    """Noise-free run of the configured system: for each sorted partition,
+    the companion orbit's :class:`DepthSelection` and eps_n0, the diameter of
+    the partition refined to depth ``n0``."""
     spec = MapSpec(config.map, config.lam)
     _, cells = _sorted_grid(config)
     noise0 = NoiseSpec(
@@ -135,27 +126,18 @@ def companion_stats(config: RunConfig) -> list[CompanionStats]:
             cyl = refine_cylinders(spec, part, sel.n0)
         except Exception as exc:
             raise RuntimeError(f"noise-free companion n_cells={n} failed: {exc!r}") from exc
-        out.append(
-            CompanionStats(
-                n_cells=n,
-                h_eps=sel.deepest,
-                delta_gap=sel.gap,
-                n0=sel.n0,
-                eps_n0=cyl.min_diameter,
-                converged=sel.converged,
-            )
-        )
+        out.append((sel, cyl.min_diameter))
     return out
 
 
 def _orbit_task(
-    args: tuple[RunConfig, int, float, Sequence[tuple[int, int, CompanionStats]]],
+    args: tuple[RunConfig, int, float, range, Sequence[tuple[DepthSelection, float]]],
 ) -> list[CurvePoint]:
     """Build grid sigma ``si``'s noisy orbit and mismatch probe and observe
-    them with each partition ``(ei, n, comp)`` of ``parts``; both die with
-    the task.  The probe is the images f(x) of a second orbit, driven by
-    the noise's feedback alone."""
-    config, si, sigma, parts = args
+    them with each sorted partition ``ei`` in ``eis``, against its companion
+    pair ``comps[ei]``; both die with the task.  The probe is the images
+    f(x) of a second orbit, driven by the noise's feedback alone."""
+    config, si, sigma, eis, comps = args
     seed = orbit_seed(config.seed, si)
     noise = NoiseSpec(sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed)
     spec = MapSpec(config.map, config.lam)
@@ -163,12 +145,13 @@ def _orbit_task(
     base = replace(noise.feedback, seed=probe_seed(config.seed, si))
     probe = sample_invariant_orbit(spec, base, config.p_samples, config.burn_in)
     fx = iterate_map_array(spec, probe.points)
-    return [_cell_task(config, orbit, fx, noise, si, ei, n, comp) for ei, n, comp in parts]
+    _, cells = _sorted_grid(config)
+    return [_cell_task(config, orbit, fx, noise, si, ei, cells[ei], *comps[ei]) for ei in eis]
 
 
 def _cell_task(
     config: RunConfig, orbit: RealOrbit, fx: np.ndarray, noise: NoiseSpec, si: int,
-    ei: int, n: int, comp: CompanionStats,
+    ei: int, n: int, sel: DepthSelection, eps_n0: float,
 ) -> CurvePoint:
     try:
         part = Partition(n)
@@ -181,18 +164,18 @@ def _cell_task(
         _, report = globals()[CODERS[config.algorithm][0]](seq)
 
         block_rate = block_entropy_rate(seq, _max_block(config, n), config.miller_madow)
-        cond_e = conditional_entropy(seq, comp.n0, config.miller_madow)
+        cond_e = conditional_entropy(seq, sel.n0, config.miller_madow)
 
         # the seed draws only this cell's noise on the sigma's mismatch probe
         p_hat, p_half = estimate_p(fx, part, replace(noise, seed=seed))
-        bset = envelope(comp.h_eps, comp.delta_gap, p_hat, eps, comp.eps_n0, noise)
+        bset = envelope(sel.deepest, sel.gap, p_hat, eps, eps_n0, noise)
         return CurvePoint(
             eps=eps,
             n_cells=n,
             compression_rate=report.rate,
             block_rate=block_rate,
             cond_entropy=cond_e,
-            n0=comp.n0,
+            n0=sel.n0,
             p_hat=p_hat,
             p_halfwidth=p_half,
             bounds=bset,
@@ -209,8 +192,11 @@ def run_grid(config: RunConfig) -> list[EntropyCurve]:
 
     # one orbit build per slice; strided slices mix cheap and costly partitions
     k = min(config.workers, len(cells))
-    parts = list(zip(range(len(cells)), cells, comps))
-    tasks = [(config, si, sigma, parts[c::k]) for si, sigma in enumerate(sigmas) for c in range(k)]
+    tasks = [
+        (config, si, sigma, range(c, len(cells), k), comps)
+        for si, sigma in enumerate(sigmas)
+        for c in range(k)
+    ]
     if config.workers == 1:
         results = [_orbit_task(t) for t in tasks]
     else:

@@ -684,6 +684,53 @@ class TestDetectCommand:
         assert captured.out == ""
         assert captured.err == f"error: sigma {float(sigma)!r} is not finite\n"
 
+    def write_csv(self, tmp_path, rows):
+        """A detect CSV whose sigma=0.2 curve is good, then ``rows``."""
+        lines = ["sigma,eps,compression_rate_bits,cond_entropy_bits"]
+        lines += [",".join(("0.2", *r)) for r in self.GOOD_BLOCK] + rows
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_negative_sigma_exits_1(self, tmp_path, capsys):
+        # RunConfig refuses a negative sigma; detect used to read it as undetermined
+        path = self.write_csv(tmp_path, [",".join(("-0.1", *r)) for r in self.GOOD_BLOCK])
+        assert dispatch(["detect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sigma -0.1 must be >= 0\n"
+
+    def test_negative_zero_sigma_is_read(self, tmp_path, capsys):
+        path = self.write_csv(tmp_path, [",".join(("-0.0", *r)) for r in self.GOOD_BLOCK])
+        assert dispatch(["detect", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("sigma=-0 status=")
+
+    def test_csv_without_rows_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text("sigma,eps,compression_rate_bits,cond_entropy_bits\n")
+        assert dispatch(["detect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: no rows\n"
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [
+            ("0.1,abc,1,1", "column eps: 'abc' is not a number"),
+            ("0.1,0.5", "column compression_rate_bits: no value"),
+            ("0.1,0.5,1,", "column cond_entropy_bits: '' is not a number"),
+            ("x,0.5,1,1", "column sigma: 'x' is not a number"),
+        ],
+        ids=["text", "short_row", "empty_field", "text_sigma"],
+    )
+    def test_unreadable_value_names_line_and_column(self, tmp_path, capsys, row, named):
+        # the bad row is line 6: the header and sigma=0.2's four rows come first
+        path = self.write_csv(tmp_path, [row])
+        assert dispatch(["detect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} line 6, {named}\n"
+
     def test_detect_rejects_foreign_csv(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         path.write_text("a,b\n1,2\n")

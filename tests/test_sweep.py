@@ -3,13 +3,17 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
+import warnings
 from collections import Counter
 
 import pytest
 
 import epsent.sweep
+from epsent.cli import dispatch
 from epsent.config import RunConfig
 from epsent.dynamics import MapSpec, NoiseSpec, sample_invariant_orbit
+from epsent.estimators import choose_n0, default_max_block
+from epsent.partition import Partition, encode, refine_cylinders
 from epsent.seeds import companion_seed, orbit_seed, probe_seed
 from epsent.sweep import (
     CSV_COLUMNS,
@@ -50,6 +54,27 @@ def csv_sha256(curves, tmp_path) -> str:
 @pytest.fixture(scope="module")
 def small_curves():
     return run_grid(SMALL)
+
+
+# the shipped grid warns that its finest partitions are undersampled
+@pytest.fixture(scope="module")
+def headline_csv(tmp_path_factory):
+    """The benchmark's headline workload: the default grid at 50,000 symbols on 1 worker."""
+    path = tmp_path_factory.mktemp("headline") / "grid.csv"
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "length 50000 below recommended")
+        emit_csv(run_grid(RunConfig(length=50_000, workers=1)), str(path))
+    return path
+
+
+# `epsent detect` on the headline CSV
+HEADLINE_DETECT = (
+    "sigma=0.5 status=noise_only eps2=0.25 eps1=nan\n"
+    "sigma=0.1 status=detected eps2=0.0833333 eps1=0.333333 sigma_estimate=0.166667\n"
+    "sigma=0.02 status=detected eps2=0.03125 eps1=0.125 sigma_estimate=0.0625\n"
+    "sigma=0.01 status=detected eps2=0.015625 eps1=0.125 sigma_estimate=0.0441942\n"
+    "sigma=0.001 status=undetermined eps2=0.004 eps1=0.004\n"
+)
 
 
 class TestDetectSigma:
@@ -131,11 +156,38 @@ class TestDetectSigma:
 class TestCompanionStats:
     def test_logistic_reference_values(self):
         stats = companion_stats(SMALL)
-        assert [s.n_cells for s in stats] == [2, 4, 8]
-        binary = stats[0]
-        assert 0.9 <= binary.h_eps <= 1.05
+        assert len(stats) == 3
+        # the refined partition is finer than its N-cell partition
+        for n, (_, eps_n0) in zip((2, 4, 8), stats):
+            assert 0.0 < eps_n0 <= 1.0 / n
+        binary, _ = stats[0]
+        assert 0.9 <= binary.deepest <= 1.05
         assert binary.n0 >= 1
-        assert binary.eps_n0 <= 0.5
+
+    @pytest.mark.parametrize(
+        "config",
+        [SMALL, dataclasses.replace(TENT_SMALL, max_block=3, miller_madow=True, delta=0.01)],
+        ids=["logistic", "tent_max_block"],
+    )
+    def test_hands_over_the_companion_depth_selection(self, config):
+        # each partition gets choose_n0's whole selection on the noise-free
+        # orbit, depth and cond_entropies included, and its n0 refinement
+        spec = MapSpec(config.map, config.lam)
+        noise0 = NoiseSpec(
+            sigma=0.0, mode="none", boundary=config.boundary, seed=companion_seed(config.seed)
+        )
+        orbit = sample_invariant_orbit(spec, noise0, config.length, config.burn_in)
+        cells = sorted(config.n_list)
+        stats = companion_stats(config)
+        assert len(stats) == len(cells)
+        for n, (sel, eps_n0) in zip(cells, stats):
+            max_block = config.max_block or default_max_block(config.length, n)
+            expected = choose_n0(
+                encode(orbit, Partition(n)), config.delta, max_depth=max_block - 1,
+                miller_madow=config.miller_madow,
+            )
+            assert sel == expected
+            assert eps_n0 == refine_cylinders(spec, Partition(n), expected.n0).min_diameter
 
 
 class TestRunGrid:
@@ -174,13 +226,13 @@ class TestRunGrid:
         config = dataclasses.replace(
             SMALL, noise_mode=mode, sigma=(0.0,), n_list=(2, 4), length=2000
         )
-        comps = {c.n_cells: c for c in companion_stats(config)}
-        assert any(c.delta_gap > 0.0 for c in comps.values())
+        sels = {n: sel for n, (sel, _) in zip((2, 4), companion_stats(config))}
+        assert any(sel.gap > 0.0 for sel in sels.values())
         (curve,) = run_grid(config)
         for p in curve.points:
-            comp = comps[p.n_cells]
-            gap = comp.delta_gap if mode == "dynamical" else 0.0
-            assert p.bounds.upper_bound == comp.h_eps + gap
+            sel = sels[p.n_cells]
+            gap = sel.gap if mode == "dynamical" else 0.0
+            assert p.bounds.upper_bound == sel.deepest + gap
 
     def test_rerun_is_identical(self, small_curves, tmp_path):
         again = run_grid(SMALL)
@@ -204,12 +256,13 @@ class TestRunGrid:
     def test_tent_output_castore_csv_bytes_pinned(self, tmp_path):
         assert csv_sha256(run_grid(TENT_SMALL), tmp_path) == CSV_SHA256["tent"]
 
-    # the shipped grid warns that its finest partitions are undersampled
-    @pytest.mark.filterwarnings("ignore:length 50000 below recommended")
-    def test_headline_csv_bytes_pinned(self, tmp_path):
-        # the benchmark's headline workload: the default grid at 50,000 symbols on 1 worker
-        curves = run_grid(RunConfig(length=50_000, workers=1))
-        assert csv_sha256(curves, tmp_path) == CSV_SHA256["headline"]
+    def test_headline_csv_bytes_pinned(self, headline_csv):
+        assert hashlib.sha256(headline_csv.read_bytes()).hexdigest() == CSV_SHA256["headline"]
+
+    def test_detect_on_headline_csv_pinned(self, headline_csv, capsys):
+        # the refusals of `epsent detect` leave a sweep's own CSV readable
+        assert dispatch(["detect", str(headline_csv)]) == 0
+        assert capsys.readouterr().out == HEADLINE_DETECT
 
     def test_input_order_does_not_matter(self, small_curves, tmp_path):
         shuffled = dataclasses.replace(SMALL, sigma=(0.01, 0.1), n_list=(8, 2, 4))
