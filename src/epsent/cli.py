@@ -212,7 +212,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 raise ValueError(f"sigma {sigma!r} is not finite")
             if sigma < 0.0:
                 raise ValueError(f"sigma {sigma!r} must be >= 0")
-            by_sigma[sigma].append(tuple(triple))
+            by_sigma[sigma + 0.0].append(tuple(triple))  # -0.0 joins 0.0's curve
     if not by_sigma:
         raise ValueError(f"{args.csv}: no rows")
     # every curve is read before any line is printed, so a bad one leaves stdout empty

@@ -6,10 +6,10 @@ is available but off by default.  The conditional entropy of depth n is the
 increment H_{n+1} - H_n, which converges to the per-symbol entropy rate much
 faster than H_n / n.
 
-Each call reads its block entropies off one word-rank ladder
-(:func:`~epsent.partition.block_counts`): H_1..H_D cost one pass per depth,
-never index the N^D word space, and sum each depth's counts in lexicographic
-word order.
+Each call reads its block entropies off one lazy word-rank ladder
+(:func:`~epsent.partition.block_counts`), taking only the depths it needs:
+H_1..H_D cost one pass per depth, never index the N^D word space, and sum
+each depth's counts in lexicographic word order.
 
 The one-step mismatch probability p that the bounds take is estimated by
 :func:`estimate_p` on the probe images f(x) that the sweep builds once per
@@ -18,6 +18,7 @@ sigma, comparing cells for one partition.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ def _entropy_from_counts(counts: np.ndarray, miller_madow: bool = False) -> floa
 
 def block_entropy_rate(seq: SymbolicSequence, n: int, miller_madow: bool = False) -> float:
     """H_n / n, the depth-n block estimate of the entropy rate."""
-    (counts,) = block_counts(seq, n, n)
+    counts = next(block_counts(seq, n))
     _warn_if_undersampled(seq, n, counts)
     return _entropy_from_counts(counts, miller_madow) / n
 
@@ -59,7 +60,7 @@ def conditional_entropy(seq: SymbolicSequence, n: int, miller_madow: bool = Fals
     This is the entropy of the next symbol conditioned on the previous n,
     under the empirical sliding-window measure.
     """
-    counts = block_counts(seq, n, n + 1)
+    counts = list(itertools.islice(block_counts(seq, n), 2))
     _warn_if_undersampled(seq, n + 1, counts[1])
     (h,) = _increments(seq, counts, miller_madow)
     return h
@@ -140,8 +141,9 @@ def choose_n0(
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    max_depth = max(1, max_depth)
-    counts = block_counts(seq, 1, max_depth + 1)
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    counts = list(itertools.islice(block_counts(seq), max_depth + 1))
     ces = _increments(seq, counts, miller_madow)
     sampled = [d for d in range(1, max_depth + 1) if not _undersampled(counts[d], len(seq))]
     depth = max(sampled, default=1)

@@ -8,14 +8,15 @@ computed exactly by pulling cell endpoints back through the two branch
 inverses, never from sampled data.  This relies on the layout every map
 shares (:func:`~epsent.dynamics.map_branches`): each half of [0,1] maps onto
 [0, top], so each preimage lands in its own half.  The sliding-window word
-counts of a symbolic sequence come from one word-rank ladder
-(:func:`block_counts`).
+counts of a symbolic sequence come from one lazy word-rank ladder
+(:func:`block_counts`), walked only as deep as its caller asks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -151,41 +152,38 @@ def refine_cylinders(spec: MapSpec, partition: Partition, n: int) -> CylinderSet
     return CylinderSet(intervals=merged, min_diameter=min_diam)
 
 
-def block_counts(seq: SymbolicSequence, first: int, last: int) -> list[np.ndarray]:
-    """Sliding-window word counts for each block length ``first..last``,
-    each in lexicographic word order.
+def block_counts(seq: SymbolicSequence, first: int = 1) -> Iterator[np.ndarray]:
+    """Sliding-window word counts for block lengths ``first, first + 1, ...``
+    in turn, each in lexicographic word order.
 
     Counted on one word-rank ladder: the ids of the d-words extend to the
     (d+1)-words as ``ids[:-1] * N + x[d:]``, which keeps their order.  Ids
     below twice the sequence length are counted in place, which beats
-    sorting them; larger ones are sorted.  Before the next depth's ids could
-    pass that limit, the distinct words are renumbered 0..K-1, so no N^d
-    word space is ever indexed.
+    sorting them; larger ones are sorted.  When the caller asks for the next
+    depth and its ids could pass that limit, the distinct words are first
+    renumbered 0..K-1, so no N^d word space is ever indexed.  A depth past
+    the sequence's length raises ``ValueError``.
     """
-    if not 1 <= first <= last:
-        raise ValueError(f"block lengths must satisfy 1 <= first <= last, got {first}..{last}")
+    if first < 1:
+        raise ValueError(f"block lengths start at 1, got first={first}")
     x, n = seq.symbols, seq.alphabet_size
-    if x.size < last:
-        raise ValueError(f"sequence of length {x.size} has no {last}-blocks")
     limit = 2 * x.size
     ids, bound = x.astype(np.int64), n  # ids of the d-words, all below bound
-    out: list[np.ndarray] = []
-    for d in range(1, last + 1):
-        if d > 1:
-            ids = ids[:-1]
-            ids *= n
-            ids += x[d - 1 :]
-            bound *= n
-        renumber = d < last and bound * n > limit
+    for d in itertools.count(1):
+        if max(d, first) > x.size:
+            raise ValueError(f"sequence of length {x.size} has no {max(d, first)}-blocks")
         if bound > limit:
             _, ids, counts = np.unique(ids, return_inverse=True, return_counts=True)
             bound = len(counts)
-        elif d >= first or renumber:
+        elif d >= first or bound * n > limit:
             counts = np.bincount(ids, minlength=bound)
             seen = counts != 0
             counts = counts[seen]
-            if renumber:
-                ids, bound = (np.cumsum(seen) - 1)[ids], len(counts)
         if d >= first:
-            out.append(counts)
-    return out
+            yield counts
+        if bound * n > limit and len(counts) < bound:  # some ids are unused
+            ids, bound = (np.cumsum(seen) - 1)[ids], len(counts)
+        ids = ids[:-1]
+        ids *= n
+        ids += x[d:]
+        bound *= n

@@ -703,7 +703,19 @@ class TestDetectCommand:
     def test_negative_zero_sigma_is_read(self, tmp_path, capsys):
         path = self.write_csv(tmp_path, [",".join(("-0.0", *r)) for r in self.GOOD_BLOCK])
         assert dispatch(["detect", str(path)]) == 0
-        assert capsys.readouterr().out.splitlines()[1].startswith("sigma=-0 status=")
+        assert capsys.readouterr().out.splitlines()[1].startswith("sigma=0 status=")
+
+    @pytest.mark.parametrize(
+        "zeros", [("-0.0", "0.0"), ("0.0", "-0.0")], ids=["minus_first", "plus_first"]
+    )
+    def test_signed_zero_sigmas_are_one_curve(self, tmp_path, capsys, zeros):
+        # the first two rows spell sigma one way, the last two the other way
+        rows = [",".join((zeros[i // 2], *r)) for i, r in enumerate(self.GOOD_BLOCK)]
+        assert dispatch(["detect", str(self.write_csv(tmp_path, rows))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("sigma=0.2 status=")
+        assert lines[1].startswith("sigma=0 status=")
 
     def test_csv_without_rows_exits_1(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"

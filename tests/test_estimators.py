@@ -1,5 +1,5 @@
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from epsent.estimators import (
     default_max_block,
     estimate_p,
 )
-from epsent.partition import Partition, SymbolicSequence, encode
+from epsent.partition import Partition, SymbolicSequence, encode, refine_cylinders
 
 
 def iid_bits(n: int, seed: int = 0) -> SymbolicSequence:
@@ -128,14 +128,16 @@ class TestLadderReference:
 
     def test_depth_validation(self):
         seq = SymbolicSequence(np.array([0, 1, 0]), 2)
-        with pytest.raises(ValueError, match="1 <= first"):
+        with pytest.raises(ValueError, match="start at 1, got first=0"):
             block_entropy_rate(seq, 0)
-        with pytest.raises(ValueError, match="1 <= first"):
+        with pytest.raises(ValueError, match="start at 1, got first=0"):
             conditional_entropy(seq, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length 3 has no 4-blocks"):
             block_entropy_rate(seq, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length 3 has no 4-blocks"):
             conditional_entropy(seq, 3)
+        with pytest.raises(ValueError, match="length 3 has no 4-blocks"):
+            choose_n0(seq, 0.05, max_depth=3)
 
 
 class TestConditionalEntropy:
@@ -227,12 +229,63 @@ class TestChooseN0:
         with pytest.raises(ValueError):
             choose_n0(iid_bits(1000), 0.0, max_depth=3)
 
+    @pytest.mark.parametrize("max_depth", [0, -1])
+    def test_max_depth_validation(self, max_depth):
+        # a depth-0 request used to be answered with a depth-1 selection
+        with pytest.raises(ValueError, match=f"max_depth must be >= 1, got {max_depth}"):
+            choose_n0(iid_bits(1000), 0.05, max_depth=max_depth)
+
     def test_default_max_block(self):
         assert default_max_block(1_000_000, 2) == 14
         assert default_max_block(1_000_000, 250) == 2
         assert default_max_block(5000, 2) == 6
         # below 2 * SAMPLES_PER_WORD symbols no depth is positive; the floor is 2
         assert [default_max_block(length, 2) for length in (1, 49, 50, 99)] == [2] * 4
+
+
+def exact_block_entropy(spec, part, depth, cdf):
+    """H_depth of the invariant measure with distribution function ``cdf``:
+    the exact cylinder intervals, grouped by word, each word weighted by the
+    measure of its intervals."""
+    mass = defaultdict(float)
+    for lo, hi, word in refine_cylinders(spec, part, depth).intervals:
+        mass[word] += cdf(hi) - cdf(lo)
+    p = np.array([m for m in mass.values() if m > 0.0])
+    return float(-(p * np.log2(p)).sum())
+
+
+def arcsine_cdf(x):
+    """Invariant distribution of the logistic map at lambda = 4."""
+    return 2.0 / math.pi * math.asin(math.sqrt(x))
+
+
+class TestExactCylinderEntropy:
+    # 10^6 noise-free symbols at seed 7 came within 6.4e-4 bits of the exact
+    # increments at every depth below; seeds 1-7 within 1.4e-3
+    TOLERANCE = 3e-3
+
+    @pytest.mark.parametrize(
+        "kind, n_cells, max_depth, cdf",
+        [
+            ("logistic", 3, 10, arcsine_cdf),
+            ("logistic", 32, 4, arcsine_cdf),
+            ("tent", 3, 10, lambda x: x),
+        ],
+        ids=["logistic_3", "logistic_32", "tent_3"],
+    )
+    def test_cond_entropies_match_the_exact_increments(self, kind, n_cells, max_depth, cdf):
+        spec, part = MapSpec(kind), Partition(n_cells)
+        orbit = sample_invariant_orbit(spec, NoiseSpec(seed=7), 1_000_000)
+        sel = choose_n0(encode(orbit, part), 0.01, max_depth)
+        assert sel.depth == max_depth  # every depth compared below is sampled
+        hs = [exact_block_entropy(spec, part, d, cdf) for d in range(1, max_depth + 2)]
+        exact = [hi - lo for lo, hi in zip(hs, hs[1:])]
+        if (kind, n_cells) == ("logistic", 32):
+            assert exact == pytest.approx([1.3622, 1.1507, 1.0560, 1.0331], abs=1e-4)
+        if kind == "tent":
+            # three cells do not generate for the tent map: 2/3 bit at every depth
+            assert exact == pytest.approx([2 / 3] * max_depth, abs=1e-12)
+        assert sel.cond_entropies == pytest.approx(exact, abs=self.TOLERANCE)
 
 
 def probe(spec, noise, samples):

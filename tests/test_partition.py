@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -157,7 +159,7 @@ class TestNoisyWordInclusion:
 
 def frequencies(seq: SymbolicSequence, depth: int) -> np.ndarray:
     """Sliding-window word frequencies at ``depth``, in lexicographic order."""
-    (counts,) = block_counts(seq, depth, depth)
+    counts = next(block_counts(seq, depth))
     return counts / counts.sum()
 
 
@@ -180,14 +182,62 @@ class TestFrequencies:
     def test_normalization(self):
         rng = np.random.default_rng(43)
         seq = SymbolicSequence(rng.integers(0, 5, size=3000), 5)
-        for depth, counts in enumerate(block_counts(seq, 1, 4), start=1):
+        for depth, counts in enumerate(itertools.islice(block_counts(seq), 4), start=1):
             assert counts.min() >= 1
             assert counts.sum() == len(seq) - depth + 1
 
     def test_too_short(self):
         seq = SymbolicSequence(np.array([0, 1]), 2)
-        with pytest.raises(ValueError):
-            block_counts(seq, 3, 3)
+        with pytest.raises(ValueError, match="length 2 has no 3-blocks"):
+            next(block_counts(seq, 3))
+
+
+def ladder_case(n_cells, length, seed):
+    """``length`` symbols over three letters of an ``n_cells`` alphabet, with
+    one symbol in ten drawn from the whole alphabet."""
+    rng = np.random.default_rng(seed)
+    letters = rng.choice(n_cells, 3, replace=False)
+    symbols = np.where(
+        rng.random(length) < 0.1, rng.integers(0, n_cells, length), rng.choice(letters, length)
+    )
+    return SymbolicSequence(symbols, n_cells)
+
+
+class TestLazyLadder:
+    # N = 250 over 4000 symbols renumbers its 1-words (250^2 passes twice the
+    # length) and sorts from depth 2; N = 65535 over 40000 symbols counts
+    # depth 1 in place, renumbers it, then sorts
+    CASES = [(250, 4000, 8), (65535, 40_000, 4)]
+
+    @pytest.mark.parametrize("n_cells, length, depths", CASES, ids=["N250", "N65535"])
+    def test_counts_do_not_depend_on_how_far_the_caller_walks(self, n_cells, length, depths):
+        seq = ladder_case(n_cells, length, n_cells)
+        walk = block_counts(seq)
+        counts = [next(walk) for _ in range(depths)]
+        kept = [c.copy() for c in counts]
+        next(walk)  # walking on leaves the arrays already handed out alone
+        for d, c in enumerate(counts, start=1):
+            assert np.array_equal(c, kept[d - 1])
+            # a walk stopped at depth d, or started there, yields the same array
+            stopped = list(itertools.islice(block_counts(seq), d))[-1]
+            assert np.array_equal(stopped, c)
+            assert np.array_equal(next(block_counts(seq, d)), c)
+            windows = Counter(map(tuple, np.lib.stride_tricks.sliding_window_view(seq.symbols, d)))
+            assert c.tolist() == [windows[w] for w in sorted(windows)]
+
+    def test_depth_past_the_length_raises_value_error(self):
+        seq = SymbolicSequence(np.array([0, 1, 1]), 2)
+        walk = block_counts(seq)
+        assert [c.tolist() for c in itertools.islice(walk, 3)] == [[1, 2], [1, 1], [1]]
+        # a ValueError, never a StopIteration that would end a caller's loop quietly
+        with pytest.raises(ValueError, match="length 3 has no 4-blocks"):
+            next(walk)
+        with pytest.raises(ValueError, match="length 3 has no 5-blocks"):
+            next(block_counts(seq, 5))
+        with pytest.raises(ValueError, match="length 3 has no 4-blocks"):
+            list(itertools.islice(block_counts(seq, 2), 10))
+        with pytest.raises(ValueError, match="length 0 has no 1-blocks"):
+            next(block_counts(SymbolicSequence(np.array([], dtype=np.int32), 2)))
 
 
 class TestSymbolicSequence:
