@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 from array import array
 from collections import defaultdict
@@ -87,12 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     overrides = {key: getattr(args, key) for key in SCHEMA}
     cfg = load_config(args.config, overrides)
-    curves = run_grid(cfg)
     out_csv = cfg.out_csv or "sweep.csv"
-    emit_csv(curves, out_csv)
+    # the plot, written second, would replace the CSV
+    if cfg.out_plot and os.path.realpath(cfg.out_plot) == os.path.realpath(out_csv):
+        raise ConfigError(f"out_plot: {cfg.out_plot!r} is the out_csv path {out_csv!r}")
+    cells = run_grid(cfg)
+    emit_csv(cells, out_csv)
     print(f"wrote {out_csv}", file=sys.stderr)
     if cfg.out_plot:
-        emit_plot_data(curves, cfg.out_plot)
+        emit_plot_data(cells, cfg.out_plot)
         print(f"wrote {cfg.out_plot}", file=sys.stderr)
     return EXIT_OK
 

@@ -125,11 +125,11 @@ def sweep_determinism() -> None:
 
 def knee_detection() -> None:
     eps = [2 ** (-k / 4) for k in range(2, 40)]
-    knee = detect_sigma([(e, max(1.0, -math.log2(e))) for e in eps])
+    knee = detect_sigma([(e, max(1.0, -math.log2(e)), max(1.0, -math.log2(e))) for e in eps])
     _expect(knee.status == "detected")
     _expect(0.3 <= knee.sigma_estimate <= 0.8, f"estimate {knee.sigma_estimate:.3f}")
-    _expect(detect_sigma([(e, 1.0) for e in eps]).status == "plateau_only")
-    _expect(detect_sigma([(e, -math.log2(e)) for e in eps]).status == "noise_only")
+    _expect(detect_sigma([(e, 1.0, 1.0) for e in eps]).status == "plateau_only")
+    _expect(detect_sigma([(e, -math.log2(e), -math.log2(e)) for e in eps]).status == "noise_only")
 
 
 ORACLES = (

@@ -22,14 +22,16 @@ The noise-free quantities the bounds need (entropy proxy, convergence depth,
 refined-partition diameter) come from one companion run with sigma = 0,
 encoded against each partition of the grid.  A cell that fails aborts the
 sweep with a ``RuntimeError`` naming its sigma and cell count, and a failing
-companion partition names its cell count, so a curve is never returned with
-a point missing.
+companion partition names its cell count, so a grid is never returned with
+a cell missing.  :func:`run_grid` returns one :class:`CurvePoint` per cell
+in CSV order, and the writers keep the order they are given.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -51,8 +53,12 @@ from .seeds import cell_seed, companion_seed, orbit_seed, probe_seed
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One grid cell: the values of its CSV row."""
+
+    sigma: float
     eps: float
     n_cells: int
+    orbit_len: int
     compression_rate: float
     block_rate: float
     cond_entropy: float
@@ -61,15 +67,6 @@ class CurvePoint:
     p_halfwidth: float
     bounds: BoundSet
     cell_seed: int
-
-
-@dataclass
-class EntropyCurve:
-    """Measured h(eps) curve for one noise amplitude, eps decreasing."""
-
-    sigma: float
-    points: list[CurvePoint]
-    orbit_len: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,8 @@ class SigmaDetection:
 
 def _sorted_grid(config: RunConfig) -> tuple[tuple[float, ...], tuple[int, ...]]:
     return (
-        tuple(sorted(set(config.sigma), reverse=True)),
+        # + 0.0 reads -0.0 as 0.0, so the flag order cannot pick the spelling
+        tuple(sorted({s + 0.0 for s in config.sigma}, reverse=True)),
         tuple(sorted(set(config.n_list))),
     )
 
@@ -131,13 +129,13 @@ def companion_stats(config: RunConfig) -> list[tuple[DepthSelection, float]]:
 
 
 def _orbit_task(
-    args: tuple[RunConfig, int, float, range, Sequence[tuple[DepthSelection, float]]],
+    args: tuple[RunConfig, int, float, Sequence[tuple[int, int, DepthSelection, float]]],
 ) -> list[CurvePoint]:
     """Build grid sigma ``si``'s noisy orbit and mismatch probe and observe
-    them with each sorted partition ``ei`` in ``eis``, against its companion
-    pair ``comps[ei]``; both die with the task.  The probe is the images
-    f(x) of a second orbit, driven by the noise's feedback alone."""
-    config, si, sigma, eis, comps = args
+    them with each partition of its slice, given as sorted index ``ei``, cell
+    count ``n`` and companion pair; both die with the task.  The probe is
+    the images f(x) of a second orbit, driven by the noise's feedback alone."""
+    config, si, sigma, partitions = args
     seed = orbit_seed(config.seed, si)
     noise = NoiseSpec(sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed)
     spec = MapSpec(config.map, config.lam)
@@ -145,8 +143,7 @@ def _orbit_task(
     base = replace(noise.feedback, seed=probe_seed(config.seed, si))
     probe = sample_invariant_orbit(spec, base, config.p_samples, config.burn_in)
     fx = iterate_map_array(spec, probe.points)
-    _, cells = _sorted_grid(config)
-    return [_cell_task(config, orbit, fx, noise, si, ei, cells[ei], *comps[ei]) for ei in eis]
+    return [_cell_task(config, orbit, fx, noise, si, *part) for part in partitions]
 
 
 def _cell_task(
@@ -170,8 +167,10 @@ def _cell_task(
         p_hat, p_half = estimate_p(fx, part, replace(noise, seed=seed))
         bset = envelope(sel.deepest, sel.gap, p_hat, eps, eps_n0, noise)
         return CurvePoint(
+            sigma=noise.sigma,
             eps=eps,
             n_cells=n,
+            orbit_len=config.length,
             compression_rate=report.rate,
             block_rate=block_rate,
             cond_entropy=cond_e,
@@ -185,15 +184,16 @@ def _cell_task(
         raise RuntimeError(f"grid cell sigma={noise.sigma} n_cells={n} failed: {exc!r}") from exc
 
 
-def run_grid(config: RunConfig) -> list[EntropyCurve]:
-    """Run the full grid and return one curve per sigma, largest sigma first."""
+def run_grid(config: RunConfig) -> list[CurvePoint]:
+    """Run the full grid and return its cells in CSV order: sigma
+    descending, then eps descending."""
     sigmas, cells = _sorted_grid(config)
-    comps = companion_stats(config)
+    grid = [(ei, n, *comp) for ei, (n, comp) in enumerate(zip(cells, companion_stats(config)))]
 
     # one orbit build per slice; strided slices mix cheap and costly partitions
     k = min(config.workers, len(cells))
     tasks = [
-        (config, si, sigma, range(c, len(cells), k), comps)
+        (config, si, sigma, grid[c::k])
         for si, sigma in enumerate(sigmas)
         for c in range(k)
     ]
@@ -206,12 +206,7 @@ def run_grid(config: RunConfig) -> list[EntropyCurve]:
 
         with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             results = list(pool.map(_orbit_task, tasks))
-
-    curves = []
-    for si, sigma in enumerate(sigmas):
-        points = sorted(sum(results[si * k : (si + 1) * k], []), key=lambda p: -p.eps)
-        curves.append(EntropyCurve(sigma=sigma, points=points, orbit_len=config.length))
-    return curves
+    return sorted((p for points in results for p in points), key=lambda p: (-p.sigma, -p.eps))
 
 
 # detect_sigma's default slope thresholds, also the defaults of `epsent detect`
@@ -220,11 +215,12 @@ NOISE_SLOPE = 0.85
 
 
 def detect_sigma(
-    curve: EntropyCurve | Sequence[tuple[float, float]],
+    rows: Sequence[tuple[float, float, float]],
     flat_slope: float = FLAT_SLOPE,
     noise_slope: float = NOISE_SLOPE,
 ) -> SigmaDetection:
-    """Locate the flat-regime edge eps1 and the noise-regime edge eps2.
+    """Locate the flat-regime edge eps1 and the noise-regime edge eps2 of
+    one curve, given as (eps, rate, plateau value) rows in any order.
 
     All slopes are taken against log2(1/eps) on the grid sorted by
     decreasing eps.  eps1 is the smallest eps whose whole trailing window
@@ -235,33 +231,34 @@ def detect_sigma(
     When both edges exist with eps2 < eps1, the interval (eps2, eps1)
     brackets the noise amplitude.
 
-    On a full :class:`EntropyCurve` the plateau edge is judged on the
-    conditional-entropy estimates, which stay flat where the dictionary
-    coder's size-dependent redundancy already slopes upward, while the noise
-    edge is judged on the compression rate, whose climb in the noise regime
-    is steep and monotone.  A bare (eps, rate) sequence uses the one series
-    for both edges; (eps, rate, plateau_value) triples split them the same
-    way the full curve does.
+    A sweep passes its conditional entropies as the plateau values: they
+    stay flat where the dictionary coder's size-dependent redundancy already
+    slopes upward.  Its compression rates, which judge the noise edge, climb
+    steeply and monotonically in the noise regime.
 
-    Raises ValueError naming the value when an eps is not finite and > 0 or
-    repeats, or when a rate or plateau value is not finite.
+    Raises ValueError naming the row when it is not a triple, and naming the
+    value when an eps is not finite and > 0 or repeats, or when a rate or
+    plateau value is not finite.
     """
-    if isinstance(curve, EntropyCurve):
-        curve = [(p.eps, p.compression_rate, p.cond_entropy) for p in curve.points]
-    rows = sorted((tuple(map(float, row)) for row in curve), key=lambda t: -t[0])
+    triples = []
+    for row in rows:
+        if len(row) != 3:
+            raise ValueError(f"row {tuple(row)!r} is not an (eps, rate, plateau value) triple")
+        triples.append(tuple(map(float, row)))
+    triples.sort(key=lambda t: -t[0])
     seen: set[float] = set()
-    for e, *values in rows:
+    for e, rate, plateau in triples:
         if not (math.isfinite(e) and e > 0.0):
             raise ValueError(f"eps {e!r} must be finite and > 0")
         if e in seen:
             raise ValueError(f"eps {e!r} repeats")
         seen.add(e)
-        for name, v in zip(("rate", "plateau value"), values):
+        for name, v in (("rate", rate), ("plateau value", plateau)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} {v!r} at eps {e!r} is not finite")
-    eps = [r[0] for r in rows]
-    noise_series = [r[1] for r in rows]
-    plateau_series = [r[2] if len(r) > 2 else r[1] for r in rows]
+    eps = [r[0] for r in triples]
+    noise_series = [r[1] for r in triples]
+    plateau_series = [r[2] for r in triples]
     m = len(eps)
     if m < 4:
         return SigmaDetection(math.nan, math.nan, "undetermined")
@@ -307,58 +304,56 @@ def _fmt(value: float | int) -> str:
     return f"{value:.9g}"
 
 
-# each CSV column and its value for curve c and point p, in column order
+# each CSV column and its value for cell p, in column order
 _CSV_TABLE = (
-    ("sigma", lambda c, p: c.sigma),
-    ("eps", lambda c, p: p.eps),
-    ("n_cells", lambda c, p: p.n_cells),
-    ("orbit_len", lambda c, p: c.orbit_len),
-    ("compression_rate_bits", lambda c, p: p.compression_rate),
-    ("block_rate_bits", lambda c, p: p.block_rate),
-    ("cond_entropy_bits", lambda c, p: p.cond_entropy),
-    ("n0", lambda c, p: p.n0),
-    ("p_hat", lambda c, p: p.p_hat),
-    ("p_halfwidth", lambda c, p: p.p_halfwidth),
-    ("pure_noise_line", lambda c, p: p.bounds.pure_noise_line),
-    ("kifer_lower", lambda c, p: p.bounds.kifer_lower),
-    ("upper_bound", lambda c, p: p.bounds.upper_bound),
-    ("envelope_low", lambda c, p: p.bounds.kifer_lower),
-    ("envelope_high", lambda c, p: p.bounds.envelope_high),
-    ("cell_seed", lambda c, p: p.cell_seed),
+    ("sigma", lambda p: p.sigma),
+    ("eps", lambda p: p.eps),
+    ("n_cells", lambda p: p.n_cells),
+    ("orbit_len", lambda p: p.orbit_len),
+    ("compression_rate_bits", lambda p: p.compression_rate),
+    ("block_rate_bits", lambda p: p.block_rate),
+    ("cond_entropy_bits", lambda p: p.cond_entropy),
+    ("n0", lambda p: p.n0),
+    ("p_hat", lambda p: p.p_hat),
+    ("p_halfwidth", lambda p: p.p_halfwidth),
+    ("pure_noise_line", lambda p: p.bounds.pure_noise_line),
+    ("kifer_lower", lambda p: p.bounds.kifer_lower),
+    ("upper_bound", lambda p: p.bounds.upper_bound),
+    ("envelope_low", lambda p: p.bounds.kifer_lower),
+    ("envelope_high", lambda p: p.bounds.envelope_high),
+    ("cell_seed", lambda p: p.cell_seed),
 )
 CSV_COLUMNS = tuple(name for name, _ in _CSV_TABLE)
 
 
-def curves_to_rows(curves: Sequence[EntropyCurve]) -> list[list[str]]:
-    """CSV body rows (sigma desc, eps desc), floats at 9 significant digits."""
-    return [
-        [_fmt(value(c, p)) for _, value in _CSV_TABLE]
-        for c in sorted(curves, key=lambda c: -c.sigma)
-        for p in sorted(c.points, key=lambda p: -p.eps)
-    ]
+def curves_to_rows(cells: Sequence[CurvePoint]) -> list[list[str]]:
+    """CSV body rows, one per cell in order, floats at 9 significant digits."""
+    return [[_fmt(value(p)) for _, value in _CSV_TABLE] for p in cells]
 
 
-def emit_csv(curves: Sequence[EntropyCurve], path: str) -> None:
-    """Write the curves as CSV; identical inputs produce identical bytes."""
+def emit_csv(cells: Sequence[CurvePoint], path: str) -> None:
+    """Write the cells as CSV rows in the given order, which for
+    :func:`run_grid`'s list is sigma descending, then eps descending;
+    identical inputs produce identical bytes."""
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for row in curves_to_rows(curves):
+            for row in curves_to_rows(cells):
                 fh.write(",".join(row) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def emit_plot_data(curves: Sequence[EntropyCurve], path: str) -> None:
-    """Whitespace table for gnuplot: one block per sigma, x = eps, y = rate."""
-    ordered = sorted(curves, key=lambda c: -c.sigma)
+def emit_plot_data(cells: Sequence[CurvePoint], path: str) -> None:
+    """Whitespace table for gnuplot, x = eps, y = rate, in the given order:
+    one block per run of cells with equal sigma."""
     try:
         with open(path, "w") as fh:
-            for i, curve in enumerate(ordered):
+            for i, (sigma, block) in enumerate(groupby(cells, key=lambda p: p.sigma)):
                 if i:
                     fh.write("\n\n")
-                fh.write(f"# sigma = {_fmt(curve.sigma)}\n")
-                for p in sorted(curve.points, key=lambda p: -p.eps):
+                fh.write(f"# sigma = {_fmt(sigma)}\n")
+                for p in block:
                     fh.write(f"{_fmt(p.eps)} {_fmt(p.compression_rate)}\n")
     except OSError as exc:
         raise OSError(f"cannot write plot data to {path}: {exc}") from exc

@@ -36,35 +36,35 @@ def report(name: str, ok: bool, detail: str) -> bool:
 
 
 @pytest.fixture(scope="session")
-def experiment_curves():
+def experiment_cells():
     t0 = time.time()
-    curves = run_grid(EXPERIMENT)
-    print(f"\n[experiment grid: {len(curves)} curves x {len(curves[0].points)} cells "
-          f"in {time.time() - t0:.0f}s, single worker]")
-    return curves
+    cells = run_grid(EXPERIMENT)
+    print(f"\n[experiment grid: {len(cells)} cells in {time.time() - t0:.0f}s, single worker]")
+    return cells
 
 
-def curve_for(curves, sigma):
-    return next(c for c in curves if c.sigma == sigma)
+def curve_for(cells, sigma):
+    """The cells of one sigma, eps descending."""
+    return [p for p in cells if p.sigma == sigma]
 
 
-def point_for(curves, sigma, eps):
-    return next(p for p in curve_for(curves, sigma).points if abs(p.eps - eps) < 1e-12)
+def point_for(cells, sigma, eps):
+    return next(p for p in curve_for(cells, sigma) if abs(p.eps - eps) < 1e-12)
 
 
 class TestCriterion1FigureReproduction:
-    def test_a_coarse_scale_rate_near_one_bit(self, experiment_curves):
+    def test_a_coarse_scale_rate_near_one_bit(self, experiment_cells):
         ok = True
         for sigma in (0.02, 0.01, 0.001):
-            rate = point_for(experiment_curves, sigma, 0.5).compression_rate
+            rate = point_for(experiment_cells, sigma, 0.5).compression_rate
             ok &= report(
                 "1a", 0.85 <= rate <= 1.15, f"sigma={sigma} eps=0.5 rate={rate:.4f} in [0.85, 1.15]"
             )
         assert ok
 
-    def test_b_half_noise_curve_tracks_pure_noise_line(self, experiment_curves):
+    def test_b_half_noise_curve_tracks_pure_noise_line(self, experiment_cells):
         ok = True
-        for p in curve_for(experiment_curves, 0.5).points:
+        for p in curve_for(experiment_cells, 0.5):
             if p.eps > 0.25:
                 continue
             target = -math.log2(p.eps)
@@ -76,8 +76,8 @@ class TestCriterion1FigureReproduction:
             )
         assert ok
 
-    def test_c_curves_ordered_by_sigma_at_finest_scale(self, experiment_curves):
-        rates = [point_for(experiment_curves, s, 0.004).compression_rate
+    def test_c_curves_ordered_by_sigma_at_finest_scale(self, experiment_cells):
+        rates = [point_for(experiment_cells, s, 0.004).compression_rate
                  for s in (0.5, 0.1, 0.02, 0.01, 0.001)]
         inversions = sum(1 for a, b in zip(rates, rates[1:]) if a < b)
         assert report(
@@ -112,21 +112,20 @@ class TestCriterion3ComplexityMatchesKSEntropy:
 
 
 class TestCriterion4BoundSandwich:
-    def test_every_cell_between_bounds(self, experiment_curves):
+    def test_every_cell_between_bounds(self, experiment_cells):
         violations = []
         checked = 0
-        for curve in experiment_curves:
-            for p in curve.points:
-                if p.p_halfwidth >= 0.02:
-                    continue
-                checked += 1
-                low = p.bounds.kifer_lower - 0.3
-                high = p.bounds.envelope_high + max(0.2, 0.15 * p.bounds.envelope_high)
-                if not low <= p.compression_rate <= high:
-                    violations.append(
-                        f"sigma={curve.sigma} N={p.n_cells}: rate={p.compression_rate:.3f} "
-                        f"outside [{low:.3f}, {high:.3f}]"
-                    )
+        for p in experiment_cells:
+            if p.p_halfwidth >= 0.02:
+                continue
+            checked += 1
+            low = p.bounds.kifer_lower - 0.3
+            high = p.bounds.envelope_high + max(0.2, 0.15 * p.bounds.envelope_high)
+            if not low <= p.compression_rate <= high:
+                violations.append(
+                    f"sigma={p.sigma} N={p.n_cells}: rate={p.compression_rate:.3f} "
+                    f"outside [{low:.3f}, {high:.3f}]"
+                )
         assert report(
             "4", not violations,
             f"{checked} cells gated in, {len(violations)} violation(s)"
@@ -136,8 +135,9 @@ class TestCriterion4BoundSandwich:
 
 class TestCriterion5SigmaDetection:
     @pytest.mark.parametrize("sigma", [0.1, 0.02, 0.01])
-    def test_detects_noise_amplitude(self, experiment_curves, sigma):
-        det = detect_sigma(curve_for(experiment_curves, sigma))
+    def test_detects_noise_amplitude(self, experiment_cells, sigma):
+        curve = curve_for(experiment_cells, sigma)
+        det = detect_sigma([(p.eps, p.compression_rate, p.cond_entropy) for p in curve])
         est = det.sigma_estimate
         ok = det.status == "detected" and max(est / sigma, sigma / est) <= 5.0
         assert report(

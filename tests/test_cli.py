@@ -300,9 +300,9 @@ class TestSweepCommand:
     def test_max_block_8_at_250_cells_sweeps(self):
         # 250^8 > 2^62 words, but the ladder only numbers the observed ones
         config = RunConfig(sigma=(0.1,), n_list=(2, 250), length=2000, p_samples=500, max_block=8)
-        (curve,) = sweep.run_grid(config)
-        assert [point.n_cells for point in curve.points] == [2, 250]
-        for point in curve.points:
+        cells = sweep.run_grid(config)
+        assert [point.n_cells for point in cells] == [2, 250]
+        for point in cells:
             assert 0.0 <= point.block_rate <= np.log2(point.n_cells)
 
     def test_sampled_sweep_writes_no_warning(self, tmp_path):
@@ -378,6 +378,25 @@ class TestSweepCommand:
         code = dispatch(["sweep", "--config", str(path)])
         assert code == 2
         assert "not_a_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--out-csv", "same.txt", "--out-plot", "./same.txt"],
+            ["--out-plot", "sweep.csv"],
+            ["--out-csv", "same.txt", "--out-plot", "link/same.txt"],
+        ],
+        ids=["both_set", "default_csv", "through_symlink"],
+    )
+    def test_plot_path_that_is_the_csv_path_exits_2(self, flags, tmp_path, monkeypatch, capsys):
+        # the plot, written second, would leave no CSV
+        monkeypatch.setattr(cli, "run_grid", lambda cfg: pytest.fail("the sweep ran"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(tmp_path)
+        assert dispatch(["sweep", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: out_plot: ") and "out_csv" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["link"]
 
 
 class TestSimulateCommand:

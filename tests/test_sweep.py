@@ -43,27 +43,33 @@ CSV_SHA256 = {
     "tent": "000da354cba534abda94476cfabd28a7769f9c3e3480f39715cefc0a4e94d931",
     "headline": "380e83efb28e3c07b0a20f56d70dfdb3ea12dd9ce3c51b64793b5eba329e7970",
 }
+# sha256 of the headline grid's gnuplot data, written from the same cells
+HEADLINE_PLOT_SHA256 = "b3020b0942e891aca478b3c1e5cafbc392f70669ece74685e81efddf52beef6f"
 
 
-def csv_sha256(curves, tmp_path) -> str:
+def csv_sha256(cells, tmp_path) -> str:
     path = tmp_path / "grid.csv"
-    emit_csv(curves, str(path))
+    emit_csv(cells, str(path))
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
-def small_curves():
+def small_cells():
     return run_grid(SMALL)
 
 
 # the shipped grid warns that its finest partitions are undersampled
 @pytest.fixture(scope="module")
 def headline_csv(tmp_path_factory):
-    """The benchmark's headline workload: the default grid at 50,000 symbols on 1 worker."""
+    """The benchmark's headline workload: the default grid at 50,000 symbols on 1 worker.
+
+    Its gnuplot data sits beside it, as ``grid.dat``."""
     path = tmp_path_factory.mktemp("headline") / "grid.csv"
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "length 50000 below recommended")
-        emit_csv(run_grid(RunConfig(length=50_000, workers=1)), str(path))
+        cells = run_grid(RunConfig(length=50_000, workers=1))
+    emit_csv(cells, str(path))
+    emit_plot_data(cells, str(path.with_suffix(".dat")))
     return path
 
 
@@ -77,45 +83,74 @@ HEADLINE_DETECT = (
 )
 
 
+def one_series(eps, rate):
+    """(eps, rate, plateau value) rows in which one series judges both edges."""
+    return [(e, rate(e), rate(e)) for e in eps]
+
+
+def flat(*eps):
+    return one_series(eps, lambda e: 1.0)
+
+
 class TestDetectSigma:
     def dense_grid(self):
         return [2 ** (-k / 4) for k in range(2, 40)]
 
     def test_knee_curve_detected_at_half(self):
-        pairs = [(e, max(1.0, -math.log2(e))) for e in self.dense_grid()]
-        det = detect_sigma(pairs)
+        det = detect_sigma(one_series(self.dense_grid(), lambda e: max(1.0, -math.log2(e))))
         assert det.status == "detected"
         assert det.eps2 < det.eps1
         assert det.sigma_estimate == pytest.approx(0.5, rel=0.35)
 
     def test_flat_curve(self):
-        det = detect_sigma([(e, 1.0) for e in self.dense_grid()])
+        det = detect_sigma(flat(*self.dense_grid()))
         assert det.status == "plateau_only"
         assert math.isnan(det.eps2)
 
     def test_pure_noise_curve(self):
-        det = detect_sigma([(e, -math.log2(e)) for e in self.dense_grid()])
+        det = detect_sigma(one_series(self.dense_grid(), lambda e: -math.log2(e)))
         assert det.status == "noise_only"
         assert math.isnan(det.eps1)
 
     def test_too_few_points(self):
-        det = detect_sigma([(0.5, 1.0), (0.25, 1.0), (0.125, 1.0)])
+        det = detect_sigma(flat(0.5, 0.25, 0.125))
         assert det.status == "undetermined"
 
+    def test_plateau_values_judge_the_flat_edge(self):
+        # only the plateau values are flat before the knee (the rate alone
+        # reads noise_only); rows unsorted
+        rows = [
+            (e, max(1.0, -math.log2(e)) - 0.2 * math.log2(e), max(1.0, -math.log2(e)))
+            for e in self.dense_grid()
+        ]
+        assert detect_sigma([(e, rate, rate) for e, rate, _ in rows]).status == "noise_only"
+        det = detect_sigma(rows[1::2] + rows[::2])
+        assert det.status == "detected"
+        assert repr(det) == repr(detect_sigma(rows))
+
     def test_sigma_estimate_nan_unless_detected(self):
-        det = detect_sigma([(e, 1.0) for e in self.dense_grid()])
+        det = detect_sigma(flat(*self.dense_grid()))
         assert math.isnan(det.sigma_estimate)
 
     @pytest.mark.parametrize(
         "rows, named",
         [
-            ([(0.5, 1.0), (0.5, 1.0), (0.25, 1.0), (0.125, 1.0)], "eps 0.5 repeats"),
-            ([(0.5, 1.0), (0.0, 1.0), (0.25, 1.0), (0.125, 1.0)], "eps 0.0 must be"),
-            ([(0.5, 1.0), (-0.25, 1.0), (0.125, 1.0), (0.0625, 1.0)], "eps -0.25 must be"),
-            ([(0.5, 1.0), (math.inf, 1.0), (0.125, 1.0), (0.0625, 1.0)], "eps inf must be"),
-            ([(0.5, 1.0), (math.nan, 1.0), (0.125, 1.0), (0.0625, 1.0)], "eps nan must be"),
+            (flat(0.5, 0.5, 0.25, 0.125), "eps 0.5 repeats"),
+            (flat(0.5, 0.0, 0.25, 0.125), "eps 0.0 must be"),
+            (flat(0.5, -0.25, 0.125, 0.0625), "eps -0.25 must be"),
+            (flat(0.5, math.inf, 0.125, 0.0625), "eps inf must be"),
+            (flat(0.5, math.nan, 0.125, 0.0625), "eps nan must be"),
             ([(0.5, 1.0, 1.0), (0.25, math.nan, 1.0), (0.125, 1.0, 1.0)], "rate nan at eps 0.25"),
             ([(0.5, 1.0, 1.0), (0.25, 1.0, -math.inf)], "plateau value -inf at eps 0.25"),
+            # a pair (eps, rate) or a wider row is not read as a triple
+            pytest.param(
+                [(0.5, 1.0, 1.0), (0.25, 1.0), (0.125, 1.0, 1.0)], r"row \(0\.25, 1\.0\) is not",
+                id="pair_row",
+            ),
+            pytest.param(
+                [(0.5, 1.0, 1.0, 1.0), (0.25, 1.0, 1.0)], r"row \(0\.5, 1\.0, 1\.0, 1\.0\) is not",
+                id="wide_row",
+            ),
         ],
     )
     def test_refuses_an_unreadable_curve(self, rows, named):
@@ -123,34 +158,6 @@ class TestDetectSigma:
         # as a status
         with pytest.raises(ValueError, match=named):
             detect_sigma(rows)
-
-    @staticmethod
-    def triples(curve):
-        return [(p.eps, p.compression_rate, p.cond_entropy) for p in curve.points]
-
-    def test_curve_reads_as_its_triples(self, small_curves):
-        for curve in small_curves:
-            # repr compares the nan edges too
-            assert repr(detect_sigma(curve)) == repr(detect_sigma(self.triples(curve)))
-
-    def test_dense_curve_reads_as_its_triples(self, small_curves):
-        # only the conditional entropy is flat before the knee (the rate alone
-        # reads noise_only); points unsorted
-        template = small_curves[0].points[0]
-        points = [
-            dataclasses.replace(
-                template,
-                eps=e,
-                compression_rate=max(1.0, -math.log2(e)) - 0.2 * math.log2(e),
-                cond_entropy=max(1.0, -math.log2(e)),
-            )
-            for e in self.dense_grid()
-        ]
-        points = points[1::2] + points[::2]
-        curve = epsent.sweep.EntropyCurve(sigma=0.5, points=points, orbit_len=1)
-        det = detect_sigma(curve)
-        assert det.status == "detected"
-        assert repr(det) == repr(detect_sigma(self.triples(curve)))
 
 
 class TestCompanionStats:
@@ -191,34 +198,34 @@ class TestCompanionStats:
 
 
 class TestRunGrid:
-    def test_shape_and_ordering(self, small_curves):
-        assert [c.sigma for c in small_curves] == [0.1, 0.01]
-        for curve in small_curves:
-            eps = [p.eps for p in curve.points]
-            assert eps == sorted(eps, reverse=True)
-            assert len(curve.points) == 3
-            assert curve.orbit_len == SMALL.length
+    def test_shape_and_ordering(self, small_cells):
+        # CSV order: sigma descending, then eps descending (N ascending)
+        assert [(p.sigma, p.n_cells) for p in small_cells] == [
+            (sigma, n) for sigma in (0.1, 0.01) for n in (2, 4, 8)
+        ]
+        eps = [p.eps for p in small_cells[:3]]
+        assert eps == sorted(eps, reverse=True)
+        assert {p.orbit_len for p in small_cells} == {SMALL.length}
 
-    def test_rates_within_cap(self, small_curves):
-        for curve in small_curves:
-            for p in curve.points:
-                ceiling = 1.15 * math.log2(1.0 / p.eps) + 0.45
-                assert 0.0 <= p.compression_rate <= ceiling
+    def test_rates_within_cap(self, small_cells):
+        for p in small_cells:
+            ceiling = 1.15 * math.log2(1.0 / p.eps) + 0.45
+            assert 0.0 <= p.compression_rate <= ceiling
 
-    def test_pure_noise_and_kifer_columns_monotone(self, small_curves):
-        for curve in small_curves:
-            pure = [p.bounds.pure_noise_line for p in curve.points]
-            kifer = [p.bounds.kifer_lower for p in curve.points]
+    def test_pure_noise_and_kifer_columns_monotone(self, small_cells):
+        for sigma in SMALL.sigma:
+            cells = [p for p in small_cells if p.sigma == sigma]
+            pure = [p.bounds.pure_noise_line for p in cells]
+            kifer = [p.bounds.kifer_lower for p in cells]
             assert pure == sorted(pure)
             assert kifer == sorted(kifer)
 
-    def test_reflect_kifer_uses_folded_density(self, small_curves):
+    def test_reflect_kifer_uses_folded_density(self, small_cells):
         # reflection folds up to two preimages onto a point, so K = 1/sigma
         assert SMALL.boundary == "reflect"
-        for curve in small_curves:
-            for p in curve.points:
-                expected = -math.log2(p.eps) + math.log2(curve.sigma)
-                assert p.bounds.kifer_lower == pytest.approx(expected, rel=0, abs=1e-12)
+        for p in small_cells:
+            expected = -math.log2(p.eps) + math.log2(p.sigma)
+            assert p.bounds.kifer_lower == pytest.approx(expected, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["output", "dynamical"])
     def test_noise_free_cells_keep_the_configured_mode(self, mode):
@@ -228,30 +235,29 @@ class TestRunGrid:
         )
         sels = {n: sel for n, (sel, _) in zip((2, 4), companion_stats(config))}
         assert any(sel.gap > 0.0 for sel in sels.values())
-        (curve,) = run_grid(config)
-        for p in curve.points:
+        for p in run_grid(config):
             sel = sels[p.n_cells]
             gap = sel.gap if mode == "dynamical" else 0.0
             assert p.bounds.upper_bound == sel.deepest + gap
 
-    def test_rerun_is_identical(self, small_curves, tmp_path):
+    def test_rerun_is_identical(self, small_cells, tmp_path):
         again = run_grid(SMALL)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(small_curves, str(a))
+        emit_csv(small_cells, str(a))
         emit_csv(again, str(b))
         assert a.read_bytes() == b.read_bytes()
 
     # SMALL has 3 partitions: 2 workers do not divide them, 5 exceed them
     @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_worker_count_does_not_change_bytes(self, small_curves, tmp_path, workers):
+    def test_worker_count_does_not_change_bytes(self, small_cells, tmp_path, workers):
         parallel = run_grid(dataclasses.replace(SMALL, workers=workers))
         a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        emit_csv(small_curves, str(a))
+        emit_csv(small_cells, str(a))
         emit_csv(parallel, str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_logistic_csv_bytes_pinned(self, small_curves, tmp_path):
-        assert csv_sha256(small_curves, tmp_path) == CSV_SHA256["logistic"]
+    def test_logistic_csv_bytes_pinned(self, small_cells, tmp_path):
+        assert csv_sha256(small_cells, tmp_path) == CSV_SHA256["logistic"]
 
     def test_tent_output_castore_csv_bytes_pinned(self, tmp_path):
         assert csv_sha256(run_grid(TENT_SMALL), tmp_path) == CSV_SHA256["tent"]
@@ -259,18 +265,35 @@ class TestRunGrid:
     def test_headline_csv_bytes_pinned(self, headline_csv):
         assert hashlib.sha256(headline_csv.read_bytes()).hexdigest() == CSV_SHA256["headline"]
 
+    def test_headline_plot_bytes_pinned(self, headline_csv):
+        plot = headline_csv.with_suffix(".dat").read_bytes()
+        assert hashlib.sha256(plot).hexdigest() == HEADLINE_PLOT_SHA256
+
     def test_detect_on_headline_csv_pinned(self, headline_csv, capsys):
         # the refusals of `epsent detect` leave a sweep's own CSV readable
         assert dispatch(["detect", str(headline_csv)]) == 0
         assert capsys.readouterr().out == HEADLINE_DETECT
 
-    def test_input_order_does_not_matter(self, small_curves, tmp_path):
+    def test_input_order_does_not_matter(self, small_cells, tmp_path):
         shuffled = dataclasses.replace(SMALL, sigma=(0.01, 0.1), n_list=(8, 2, 4))
-        curves = run_grid(shuffled)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(small_curves, str(a))
-        emit_csv(curves, str(b))
+        emit_csv(small_cells, str(a))
+        emit_csv(run_grid(shuffled), str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_signed_zero_sigma_reads_as_zero(self, tmp_path, monkeypatch):
+        # -0.0 == 0.0, so the first one given used to name the grid's one sigma
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for i, sigmas in enumerate([("0.0", "-0.0"), ("-0.0", "0.0"), ("-0.0",)]):
+            argv = ["sweep", "--cells", "2", "--cells", "4", "--length", "2000"]
+            argv += [arg for s in sigmas for arg in ("--sigma", s)]
+            assert dispatch([*argv, "--out-csv", f"{i}.csv", "--out-plot", f"{i}.dat"]) == 0
+            outputs.append(tuple((tmp_path / f"{i}.{ext}").read_text() for ext in ("csv", "dat")))
+        assert outputs == [outputs[0]] * 3
+        csv_text, plot_text = outputs[0]
+        assert [row.split(",")[0] for row in csv_text.splitlines()[1:]] == ["0", "0"]
+        assert plot_text.startswith("# sigma = 0\n")
 
 
 def sigma_builds(config, si):
@@ -418,9 +441,9 @@ class TestWorkerPool:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        curves = run_grid(dataclasses.replace(SMALL, workers=workers))
+        cells = run_grid(dataclasses.replace(SMALL, workers=workers))
         assert sizes == [processes]
-        assert csv_sha256(curves, tmp_path) == CSV_SHA256["logistic"]
+        assert csv_sha256(cells, tmp_path) == CSV_SHA256["logistic"]
 
 
 class TestWarnings:
@@ -435,20 +458,20 @@ class TestWarnings:
 
 
 class TestCsvEmission:
-    def test_header_and_row_count(self, small_curves, tmp_path):
+    def test_header_and_row_count(self, small_cells, tmp_path):
         path = tmp_path / "out.csv"
-        emit_csv(small_curves, str(path))
+        emit_csv(small_cells, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 2 * 3
 
-    def test_rows_sorted_sigma_desc_eps_desc(self, small_curves):
-        rows = curves_to_rows(small_curves)
+    def test_rows_sorted_sigma_desc_eps_desc(self, small_cells):
+        rows = curves_to_rows(small_cells)
         keys = [(float(r[0]), float(r[1])) for r in rows]
         assert keys == sorted(keys, key=lambda t: (-t[0], -t[1]))
 
-    def test_envelope_low_is_kifer_lower_in_every_row(self, small_curves):
-        rows = [dict(zip(CSV_COLUMNS, row)) for row in curves_to_rows(small_curves)]
+    def test_envelope_low_is_kifer_lower_in_every_row(self, small_cells):
+        rows = [dict(zip(CSV_COLUMNS, row)) for row in curves_to_rows(small_cells)]
         assert rows and all(row["envelope_low"] == row["kifer_lower"] for row in rows)
 
     def test_empty_curve_list(self, tmp_path):
@@ -456,15 +479,15 @@ class TestCsvEmission:
         emit_csv([], str(path))
         assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
-    def test_unwritable_path(self, small_curves):
+    def test_unwritable_path(self, small_cells):
         with pytest.raises(OSError):
-            emit_csv(small_curves, "/nonexistent-dir/out.csv")
+            emit_csv(small_cells, "/nonexistent-dir/out.csv")
 
 
 class TestPlotData:
-    def test_gnuplot_blocks(self, small_curves, tmp_path):
+    def test_gnuplot_blocks(self, small_cells, tmp_path):
         path = tmp_path / "plot.dat"
-        emit_plot_data(small_curves, str(path))
+        emit_plot_data(small_cells, str(path))
         text = path.read_text()
         blocks = text.split("\n\n\n")
         assert len(blocks) == 2
@@ -473,3 +496,13 @@ class TestPlotData:
         eps, rate = first_line.split()
         assert float(eps) == 0.5
         assert float(rate) > 0.0
+
+    def test_writers_keep_the_given_order(self, small_cells, tmp_path):
+        backwards = small_cells[::-1]
+        assert curves_to_rows(backwards) == curves_to_rows(small_cells)[::-1]
+        path = tmp_path / "plot.dat"
+        emit_plot_data(backwards, str(path))
+        blocks = path.read_text().split("\n\n\n")
+        assert [b.splitlines()[0] for b in blocks] == ["# sigma = 0.01", "# sigma = 0.1"]
+        eps = [float(line.split()[0]) for line in blocks[0].splitlines()[1:]]
+        assert eps == [0.125, 0.25, 0.5]
