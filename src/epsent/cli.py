@@ -92,6 +92,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # the plot, written second, would replace the CSV
     if cfg.out_plot and os.path.realpath(cfg.out_plot) == os.path.realpath(out_csv):
         raise ConfigError(f"out_plot: {cfg.out_plot!r} is the out_csv path {out_csv!r}")
+    # a path that cannot be written would fail only after the whole grid ran
+    for key, path in (("out_csv", out_csv), ("out_plot", cfg.out_plot)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{key}: no directory {os.path.dirname(path)!r} for {path!r}")
+        if path and os.path.isdir(path):
+            raise ConfigError(f"{key}: {path!r} is a directory")
     cells = run_grid(cfg)
     emit_csv(cells, out_csv)
     print(f"wrote {out_csv}", file=sys.stderr)
@@ -102,14 +108,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    # sigma, lambda, burn-in and seed follow sweep's rules, length its upper
-    # bound and x0 the unit interval, so a bad one exits 2 naming its key
-    # before any orbit is built
+    # sigma, lambda, burn-in and seed follow sweep's rules, length
+    # [1, MAX_SYMBOLS] and x0 the unit interval, so a bad one exits 2 naming
+    # its key before any orbit is built
     RunConfig(
         map=args.map, lam=args.lam, sigma=(args.sigma,), burn_in=args.burn_in, seed=args.seed
     )
-    if args.length > compressor.MAX_SYMBOLS:
-        raise ConfigError(f"length: must be <= {compressor.MAX_SYMBOLS}, got {args.length}")
+    if not 1 <= args.length <= compressor.MAX_SYMBOLS:
+        raise ConfigError(f"length: must be in [1, {compressor.MAX_SYMBOLS}], got {args.length}")
     # nan fails this comparison too
     if args.x0 is not None and not 0.0 <= args.x0 <= 1.0:
         raise ConfigError(f"x0: must be in [0, 1], got {args.x0}")
@@ -118,7 +124,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.x0 is not None:
         orbit = generate_orbit(spec, args.x0, args.length, noise)
     else:
-        orbit = sample_invariant_orbit(spec, noise, args.length, args.burn_in)
+        orbit = sample_invariant_orbit(spec, noise, args.length, args.burn_in).points
     dump_orbit(orbit, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK

@@ -167,11 +167,10 @@ def _as_symbols(seq: SymbolicSequence | Sequence[int] | np.ndarray, alphabet_siz
     :class:`SymbolicSequence`.
     """
     if isinstance(seq, SymbolicSequence):
-        symbols, alphabet_size = seq.symbols, seq.alphabet_size
-    else:
-        symbols = np.asarray(seq)
-        if alphabet_size is None:
-            alphabet_size = max(int(symbols.max()) + 1 if symbols.size else 2, 2)
+        seq, alphabet_size = seq.symbols, seq.alphabet_size
+    elif alphabet_size is None:
+        raise ValueError("raw symbols need an alphabet_size")
+    symbols = np.asarray(seq)
     if not 2 <= alphabet_size <= MAX_ALPHABET:
         raise ValueError(f"alphabet size {alphabet_size} outside [2, {MAX_ALPHABET}]")
     if symbols.size > MAX_SYMBOLS:
@@ -335,10 +334,8 @@ def _windows(octets: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
     return window
 
 
-def _lz78_decode_body(data: bytes, nsym: int, input_len: int) -> tuple[np.ndarray, int]:
+def _lz78_decode_body(octets: np.ndarray, total: int, nsym: int, input_len: int) -> tuple[np.ndarray, int]:
     """The symbols of an lz78 stream body and the bit its last record ends at."""
-    total = 8 * len(data)
-    octets = np.frombuffer(data + bytes(7), dtype=np.uint8)  # bits past the end read 0
     pos = HEADER_BITS
     # pass 1, the records: per phrase its parent and its symbol's rank.  The
     # rank is phase-in coded over the nsym - c symbols its parent has not
@@ -362,7 +359,7 @@ def _lz78_decode_body(data: bytes, nsym: int, input_len: int) -> tuple[np.ndarra
         byte = pos >> 3
         if byte >= stop:
             first, stop = byte, byte + _WINDOW_BYTES
-            windows = _windows(octets, np.arange(first, min(stop, len(data) + 1)), 7).tolist()
+            windows = _windows(octets, np.arange(first, min(stop, (total >> 3) + 1)), 7).tolist()
         # a record's two fields span at most 25 + 16 bits from bit 0..7 of
         # its first byte, so that byte's 56-bit window holds the whole record
         window = windows[byte - first]
@@ -519,10 +516,8 @@ def _fields(octets: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.nd
     return _windows(octets, starts >> 3, 4) >> 32 - (starts & 7) - widths & (1 << widths) - 1
 
 
-def _castore_decode_body(data: bytes, nsym: int, input_len: int) -> tuple[np.ndarray, int]:
+def _castore_decode_body(octets: np.ndarray, total: int, nsym: int, input_len: int) -> tuple[np.ndarray, int]:
     """The symbols of a castore stream body and the bit its last record ends at."""
-    total = 8 * len(data)
-    octets = np.frombuffer(data + bytes(7), dtype=np.uint8)  # bits past the end read 0
     # grown as the records arrive: the declared length is not trusted
     out = array("i")
     # words 1..N are the single symbols; word w > N was emitted as
@@ -595,9 +590,11 @@ ALGORITHMS = tuple(CODERS)
 def decode(stream: bytes) -> tuple[SymbolicSequence, str]:
     """Decode either algorithm's stream; returns (sequence, algorithm name)."""
     alphabet_size, input_len, algorithm = _unpack_header(stream)
-    symbols, end = CODERS[algorithm][1](stream, alphabet_size, input_len)
+    total = 8 * len(stream)
+    octets = np.frombuffer(stream + bytes(7), dtype=np.uint8)  # bits past the end read 0
+    symbols, end = CODERS[algorithm][1](octets, total, alphabet_size, input_len)
     # only zero bits may follow the last record, and only in its final byte
-    rest = 8 * len(stream) - end
+    rest = total - end
     if rest >= 8 or rest and stream[-1] & (1 << rest) - 1:
         raise DecodeError("trailing data after final phrase")
     return SymbolicSequence(symbols=symbols, alphabet_size=alphabet_size), algorithm

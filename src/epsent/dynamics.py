@@ -91,12 +91,10 @@ class NoiseSpec:
 
 @dataclass
 class RealOrbit:
-    """A finite orbit; a pure function of (map, noise incl. seed, x0, length)."""
+    """The return of :func:`sample_invariant_orbit`, its one constructor, kept
+    only because ``perfbench/tracing.py`` reads ``.points`` off it."""
 
     points: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def iterate_map_array(spec: MapSpec, x: np.ndarray) -> np.ndarray:
@@ -203,8 +201,8 @@ def _window_orbit(kind: str, state0: int, bits: np.ndarray) -> np.ndarray:
     return points
 
 
-def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> RealOrbit:
-    """Generate an orbit of ``length`` points starting from ``x0``.
+def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> np.ndarray:
+    """The ``length`` points of the orbit starting from ``x0``.
 
     mode 'none':      x_{n+1} = f(x_n), emits x_n.
     mode 'output':    internal orbit unperturbed, emits policy(x_n + w_n).
@@ -268,7 +266,7 @@ def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> R
 
     if mode == "output":
         points = apply_boundary_array(points + w, noise.boundary)
-    return RealOrbit(points=points)
+    return points
 
 
 def sample_invariant_orbit(
@@ -288,13 +286,11 @@ def sample_invariant_orbit(
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(mix(noise.seed, INIT_STREAM))
     x0 = float(rng.uniform(0.0, 1.0))
-    full = generate_orbit(spec, x0, burn_in + length, noise)
-    return RealOrbit(points=full.points[burn_in:])
+    return RealOrbit(points=generate_orbit(spec, x0, burn_in + length, noise)[burn_in:])
 
 
-def dump_orbit(orbit: RealOrbit, path: str) -> None:
+def dump_orbit(points: np.ndarray, path: str) -> None:
     """Debug dump: one point per line, 17 significant digits."""
-    points = orbit.points
     with open(path, "w") as fh:
         for start in range(0, len(points), _DUMP_CHUNK):
             block = points[start : start + _DUMP_CHUNK].tolist()

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import MapSpec, RealOrbit, map_branches
+from .dynamics import MapSpec, map_branches
 
 _WIDTH_TOL = 1e-14
 _TOUCH_TOL = 1e-12
@@ -80,9 +80,9 @@ class CylinderSet:
     min_diameter: float
 
 
-def encode(orbit: RealOrbit | np.ndarray | Sequence[float], partition: Partition) -> SymbolicSequence:
-    """Symbol j is the partition cell containing orbit point j."""
-    points = orbit.points if isinstance(orbit, RealOrbit) else np.asarray(orbit, dtype=float)
+def encode(points: np.ndarray | Sequence[float], partition: Partition) -> SymbolicSequence:
+    """Symbol j is the partition cell containing point j."""
+    points = np.asarray(points, dtype=float)
     n = partition.n_cells
     symbols = np.minimum(np.floor(points * n).astype(np.int32), n - 1)
     return SymbolicSequence(symbols=symbols, alphabet_size=n)

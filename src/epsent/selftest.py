@@ -40,8 +40,8 @@ def noise_statistics() -> None:
 def orbit_determinism() -> None:
     spec = MapSpec("logistic", 4.0)
     noise = NoiseSpec(sigma=0.01, mode="dynamical", seed=11)
-    a = generate_orbit(spec, 0.2, 5000, noise).points
-    b = generate_orbit(spec, 0.2, 5000, noise).points
+    a = generate_orbit(spec, 0.2, 5000, noise)
+    b = generate_orbit(spec, 0.2, 5000, noise)
     _expect(np.array_equal(a, b))
     _expect(float(a.min()) >= 0.0 and float(a.max()) <= 1.0)
 
@@ -49,7 +49,7 @@ def orbit_determinism() -> None:
 def doubling_rate_oracle() -> None:
     spec = MapSpec("doubling")
     noise = NoiseSpec(sigma=0.0, mode="none", seed=23)
-    orbit = dynamics.sample_invariant_orbit(spec, noise, 200_000)
+    orbit = dynamics.sample_invariant_orbit(spec, noise, 200_000).points
     seq = encode(orbit, Partition(2))
     _, report = compressor.lz78_encode(seq)
     _expect(0.85 <= report.rate <= 1.2, f"rate {report.rate:.4f}")
@@ -107,8 +107,8 @@ def mismatch_probability() -> None:
 
     def probe(noise: NoiseSpec, samples: int) -> np.ndarray:
         # as in a sweep: images of a burned-in orbit driven by the noise's feedback
-        orbit = dynamics.sample_invariant_orbit(spec, noise.feedback, samples)
-        return iterate_map_array(spec, orbit.points)
+        orbit = dynamics.sample_invariant_orbit(spec, noise.feedback, samples).points
+        return iterate_map_array(spec, orbit)
 
     silent = NoiseSpec(sigma=0.0, mode="dynamical", seed=5)
     p0, _ = estimators.estimate_p(probe(silent, 10_000), part, silent)

@@ -39,7 +39,7 @@ import numpy as np
 from .bounds import BoundSet, envelope
 from .compressor import CODERS, castore_encode, lz78_encode
 from .config import RunConfig
-from .dynamics import MapSpec, NoiseSpec, RealOrbit, iterate_map_array, sample_invariant_orbit
+from .dynamics import MapSpec, NoiseSpec, iterate_map_array, sample_invariant_orbit
 from .estimators import (
     DepthSelection,
     block_entropy_rate,
@@ -109,7 +109,7 @@ def companion_stats(config: RunConfig) -> list[tuple[DepthSelection, float]]:
     noise0 = NoiseSpec(
         sigma=0.0, mode="none", boundary=config.boundary, seed=companion_seed(config.seed)
     )
-    orbit = sample_invariant_orbit(spec, noise0, config.length, config.burn_in)
+    orbit = sample_invariant_orbit(spec, noise0, config.length, config.burn_in).points
     out = []
     for n in cells:
         try:
@@ -139,15 +139,15 @@ def _orbit_task(
     seed = orbit_seed(config.seed, si)
     noise = NoiseSpec(sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed)
     spec = MapSpec(config.map, config.lam)
-    orbit = sample_invariant_orbit(spec, noise, config.length, config.burn_in)
+    orbit = sample_invariant_orbit(spec, noise, config.length, config.burn_in).points
     base = replace(noise.feedback, seed=probe_seed(config.seed, si))
-    probe = sample_invariant_orbit(spec, base, config.p_samples, config.burn_in)
-    fx = iterate_map_array(spec, probe.points)
+    probe = sample_invariant_orbit(spec, base, config.p_samples, config.burn_in).points
+    fx = iterate_map_array(spec, probe)
     return [_cell_task(config, orbit, fx, noise, si, *part) for part in partitions]
 
 
 def _cell_task(
-    config: RunConfig, orbit: RealOrbit, fx: np.ndarray, noise: NoiseSpec, si: int,
+    config: RunConfig, orbit: np.ndarray, fx: np.ndarray, noise: NoiseSpec, si: int,
     ei: int, n: int, sel: DepthSelection, eps_n0: float,
 ) -> CurvePoint:
     try:

@@ -102,7 +102,7 @@ class TestCriterion2PureNoiseOracle:
 
 class TestCriterion3ComplexityMatchesKSEntropy:
     def test_doubling_map_both_estimates_near_one_bit(self):
-        orbit = sample_invariant_orbit(MapSpec("doubling"), NoiseSpec(sigma=0.0, mode="none", seed=3), 1_000_000)
+        orbit = sample_invariant_orbit(MapSpec("doubling"), NoiseSpec(sigma=0.0, mode="none", seed=3), 1_000_000).points
         seq = encode(orbit, Partition(2))
         block = block_entropy_rate(seq, 10)
         _, rep = lz78_encode(seq)
@@ -205,7 +205,7 @@ class TestCriterion7AnalyticOracles:
         rates = {}
         for sigma in (0.1, 0.01, 0.001, 0.0):
             noise = NoiseSpec(sigma=sigma, mode="dynamical", seed=7)
-            orbit = sample_invariant_orbit(MapSpec("doubling"), noise, 200_000)
+            orbit = sample_invariant_orbit(MapSpec("doubling"), noise, 200_000).points
             _, rep = lz78_encode(encode(orbit, Partition(2)))
             rates[sigma] = rep.rate
         ordered = [rates[0.1], rates[0.01], rates[0.001]]

@@ -398,6 +398,33 @@ class TestSweepCommand:
         assert err.startswith("configuration error: out_plot: ") and "out_csv" in err
         assert [p.name for p in tmp_path.iterdir()] == ["link"]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--out-csv", "missing/x.csv"], "out_csv: no directory 'missing' for 'missing/x.csv'"),
+            (
+                ["--out-csv", "x.csv", "--out-plot", "missing/x.dat"],
+                "out_plot: no directory 'missing' for 'missing/x.dat'",
+            ),
+            (["--out-csv", "sub"], "out_csv: 'sub' is a directory"),
+            (["--out-csv", "x.csv", "--out-plot", "sub/"], "out_plot: 'sub/' is a directory"),
+            # the default CSV path is checked too
+            ([], "out_csv: 'sweep.csv' is a directory"),
+        ],
+        ids=["csv_missing_dir", "plot_missing_dir", "csv_is_dir", "plot_is_dir", "default_csv_is_dir"],
+    )
+    def test_unwritable_output_path_exits_2_before_the_sweep(
+        self, flags, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "run_grid", lambda cfg: pytest.fail("the sweep ran"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sweep.csv").mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert dispatch(["sweep", *flags]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
 
 class TestSimulateCommand:
     def test_orbit_dump(self, tmp_path):
@@ -426,13 +453,6 @@ class TestSimulateCommand:
         assert len(values) == 500
         assert all(0.0 <= v <= 1.0 for v in values)
 
-    @pytest.mark.parametrize("length", ["0", "-5"])
-    def test_empty_orbit_exits_1(self, tmp_path, capsys, length):
-        out = tmp_path / "orbit.txt"
-        assert dispatch(["simulate", "--length", length, "--out", str(out)]) == 1
-        assert "length must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -445,8 +465,8 @@ class TestSimulateCommand:
             # the orbit's size follows the sweep's limits too
             (["--burn-in", str(2**24 + 1)], "burn_in: must be in [0, 16777216], got 16777217"),
             (["--burn-in", "-1"], "burn_in: must be in [0, 16777216], got -1"),
-            (["--length", str(2**24 + 1)], "length: must be <= 16777216, got 16777217"),
-            (["--x0", "0.3", "--length", str(2**24 + 1)], "length: must be <= 16777216, got 16777217"),
+            (["--length", str(2**24 + 1)], "length: must be in [1, 16777216], got 16777217"),
+            (["--x0", "0.3", "--length", str(2**24 + 1)], "length: must be in [1, 16777216], got 16777217"),
             # seeds.mix keeps the low 64 bits: these would run as 2**64 - 1 and as 5
             (["--seed", "-1"], f"seed: must be in [0, {2**64 - 1}], got -1"),
             (
@@ -457,6 +477,9 @@ class TestSimulateCommand:
             (["--x0", "1.5"], "x0: must be in [0, 1], got 1.5"),
             (["--x0", "-0.1"], "x0: must be in [0, 1], got -0.1"),
             (["--x0", "nan"], "x0: must be in [0, 1], got nan"),
+            # generate_orbit and sample_invariant_orbit would refuse these with exit 1
+            (["--length", "0"], "length: must be in [1, 16777216], got 0"),
+            (["--x0", "0.3", "--length", "-5"], "length: must be in [1, 16777216], got -5"),
         ],
     )
     def test_bad_sigma_or_lambda_exits_2_before_any_orbit(self, tmp_path, monkeypatch, capsys, flags, message):

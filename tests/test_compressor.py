@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -532,9 +533,16 @@ class TestOutputLimit:
         with pytest.raises(ValueError, match="integer dtype"):
             encoder(np.array([0.5, 1.7, 2.2]), alphabet_size=4)
         with pytest.raises(ValueError, match="integer dtype"):
-            encoder([0.0, 1.0])
+            encoder([0.0, 1.0], alphabet_size=2)
         # an empty input carries no symbols to narrow
         assert encoder([], alphabet_size=4)[1].input_len == 0
+
+    @pytest.mark.parametrize("encoder", [lz78_encode, castore_encode])
+    def test_raw_symbols_need_an_alphabet_size(self, encoder):
+        # no alphabet is inferred from the largest symbol
+        for symbols in ([0, 1, 1], np.array([0, 1, 1], dtype=np.int32), []):
+            with pytest.raises(ValueError, match="^raw symbols need an alphabet_size$"):
+                encoder(symbols)
 
     @pytest.mark.parametrize("encoder", [lz78_encode, castore_encode])
     def test_encoders_take_a_checked_symbolic_sequence(self, encoder):
@@ -665,6 +673,44 @@ class TestMalformedStreams:
     def test_header_too_short(self):
         with pytest.raises(DecodeError):
             decode(b"EPSC\x01")
+
+    @pytest.mark.parametrize(
+        "stream, message",
+        [
+            pytest.param(_pack_header(1, 0, "lz78"), "alphabet size 1 invalid at byte 5", id="alphabet"),
+            # phrases "0" and "00", then a bare parent 2 ("00") past the 4 declared
+            pytest.param(
+                _pack_header(2, 4, "lz78") + pack([(0, 0), (0, 1), (1, 1), (0, 1), (3, 2)]),
+                "final phrase overruns declared length 4",
+                id="lz78_final_overrun",
+            ),
+            # at N = 16 an index takes 5 bits, so one byte holds a first
+            # field but not a whole record
+            pytest.param(
+                _pack_header(16, 4, "castore") + pack([(17, 5)]),
+                "word index 17 outside dictionary of 16",
+                id="castore_cut_short_u",
+            ),
+            pytest.param(
+                _pack_header(2, 4, "castore") + pack([(1, 2), (3, 2)]),
+                "word index 3 outside dictionary of 2",
+                id="castore_v",
+            ),
+            pytest.param(
+                _pack_header(2, 4, "castore") + pack([(1, 2), (0, 2)]),
+                "final phrase does not close the declared length",
+                id="castore_final_short",
+            ),
+            pytest.param(
+                _pack_header(2, 1, "castore") + pack([(1, 2), (2, 2)]),
+                "phrase overruns declared length 1",
+                id="castore_overrun",
+            ),
+        ],
+    )
+    def test_framing_and_record_errors_name_what_is_wrong(self, stream, message):
+        with pytest.raises(DecodeError, match=f"^{re.escape(message)}$"):
+            decode(stream)
 
 
 # (value, width) fields of every width from 0 to 64

@@ -196,7 +196,7 @@ class TestChooseN0:
         assert sel.converged
 
     def test_doubling_map_is_one_step_markov(self):
-        orbit = sample_invariant_orbit(MapSpec("doubling"), NoiseSpec(seed=13), 200_000)
+        orbit = sample_invariant_orbit(MapSpec("doubling"), NoiseSpec(seed=13), 200_000).points
         sel = choose_n0(encode(orbit, Partition(2)), 0.05, max_depth=10)
         assert sel.n0 == 1
         assert sel.converged
@@ -278,7 +278,7 @@ class TestExactCylinderEntropy:
         self, kind, n_cells, max_depth, cdf, pinned
     ):
         spec, part = MapSpec(kind), Partition(n_cells)
-        orbit = sample_invariant_orbit(spec, NoiseSpec(seed=7), 1_000_000)
+        orbit = sample_invariant_orbit(spec, NoiseSpec(seed=7), 1_000_000).points
         sel = choose_n0(encode(orbit, part), 0.01, max_depth)
         assert sel.depth == max_depth  # every depth compared below is sampled
         hs = [exact_block_entropy(spec, part, d, cdf) for d in range(1, max_depth + 2)]
@@ -290,8 +290,8 @@ class TestExactCylinderEntropy:
 def probe(spec, noise, samples):
     """The sweep's mismatch probe: images f(x) of a burned-in orbit driven by
     the noise's feedback."""
-    orbit = sample_invariant_orbit(spec, noise.feedback, samples, 1000)
-    return iterate_map_array(spec, orbit.points)
+    orbit = sample_invariant_orbit(spec, noise.feedback, samples, 1000).points
+    return iterate_map_array(spec, orbit)
 
 
 def probe_p(spec, part, noise, samples):

@@ -147,10 +147,10 @@ class TestNoisyWordInclusion:
 
         spec = MapSpec("doubling")
         part = Partition(2)
-        quiet = sample_invariant_orbit(spec, NoiseSpec(sigma=0.0, mode="none", seed=47), 200_000)
+        quiet = sample_invariant_orbit(spec, NoiseSpec(sigma=0.0, mode="none", seed=47), 200_000).points
         noisy = sample_invariant_orbit(
             spec, NoiseSpec(sigma=0.01, mode="dynamical", seed=48), 200_000
-        )
+        ).points
         for depth in range(1, 7):
             quiet_words = window_words(encode(quiet, part).symbols, depth)
             noisy_words = window_words(encode(noisy, part).symbols, depth)

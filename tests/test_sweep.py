@@ -116,6 +116,12 @@ class TestDetectSigma:
         det = detect_sigma(flat(0.5, 0.25, 0.125))
         assert det.status == "undetermined"
 
+    def test_neither_edge_is_undetermined(self):
+        # a slope of 1/2 everywhere: too steep to be flat, too shallow for noise
+        det = detect_sigma(one_series([2.0**-k for k in range(1, 6)], lambda e: -0.5 * math.log2(e)))
+        assert det.status == "undetermined"
+        assert math.isnan(det.eps1) and math.isnan(det.eps2)
+
     def test_plateau_values_judge_the_flat_edge(self):
         # only the plateau values are flat before the knee (the rate alone
         # reads noise_only); rows unsorted
@@ -183,7 +189,7 @@ class TestCompanionStats:
         noise0 = NoiseSpec(
             sigma=0.0, mode="none", boundary=config.boundary, seed=companion_seed(config.seed)
         )
-        orbit = sample_invariant_orbit(spec, noise0, config.length, config.burn_in)
+        orbit = sample_invariant_orbit(spec, noise0, config.length, config.burn_in).points
         cells = sorted(config.n_list)
         stats = companion_stats(config)
         assert len(stats) == len(cells)
