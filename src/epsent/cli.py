@@ -25,6 +25,7 @@ import numpy as np
 from . import compressor, dynamics, selftest
 from .config import SCHEMA, ConfigError, RunConfig, flag_of, load_config
 from .dynamics import MapSpec, NoiseSpec, dump_orbit, generate_orbit, sample_invariant_orbit
+from .partition import SymbolicSequence
 from .sweep import FLAT_SLOPE, NOISE_SLOPE, detect_sigma, emit_csv, emit_plot_data, run_grid
 
 EXIT_OK = 0
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--boundary", default=RunConfig.boundary, choices=dynamics.BOUNDARIES)
     sim.add_argument("--sigma", type=float, default=0.0)
     sim.add_argument("--length", type=int, default=1000)
-    sim.add_argument("--burn-in", type=int, default=1000)
+    sim.add_argument("--burn-in", type=int, default=RunConfig.burn_in)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--x0", type=float, help="explicit start point (skips burn-in)")
     sim.add_argument("--out", required=True)
@@ -85,6 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(**paths: str | None) -> None:
+    """Refuse each output path, by its key, whose directory is missing or that
+    is a directory: writing it would fail only after all the work was done."""
+    for key, path in paths.items():
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{key}: no directory {os.path.dirname(path)!r} for {path!r}")
+        if path and os.path.isdir(path):
+            raise ConfigError(f"{key}: {path!r} is a directory")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     overrides = {key: getattr(args, key) for key in SCHEMA}
     cfg = load_config(args.config, overrides)
@@ -92,12 +103,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # the plot, written second, would replace the CSV
     if cfg.out_plot and os.path.realpath(cfg.out_plot) == os.path.realpath(out_csv):
         raise ConfigError(f"out_plot: {cfg.out_plot!r} is the out_csv path {out_csv!r}")
-    # a path that cannot be written would fail only after the whole grid ran
-    for key, path in (("out_csv", out_csv), ("out_plot", cfg.out_plot)):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"{key}: no directory {os.path.dirname(path)!r} for {path!r}")
-        if path and os.path.isdir(path):
-            raise ConfigError(f"{key}: {path!r} is a directory")
+    _check_outputs(out_csv=out_csv, out_plot=cfg.out_plot)
     cells = run_grid(cfg)
     emit_csv(cells, out_csv)
     print(f"wrote {out_csv}", file=sys.stderr)
@@ -119,6 +125,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # nan fails this comparison too
     if args.x0 is not None and not 0.0 <= args.x0 <= 1.0:
         raise ConfigError(f"x0: must be in [0, 1], got {args.x0}")
+    _check_outputs(out=args.out)
     spec = MapSpec(args.map, args.lam)
     noise = NoiseSpec(sigma=args.sigma, mode=args.noise_mode, boundary=args.boundary, seed=args.seed)
     if args.x0 is not None:
@@ -132,12 +139,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 # bytes of a symbol file parsed, or symbols of one written, per step
 _TEXT_CHUNK = 1 << 18
+# an error names a longer token by this many of its first bytes and "..."
+_TOKEN_SHOWN = 32
+
+
+def _not_decimal(token: bytes) -> ValueError:
+    cut = "..." * (len(token) > _TOKEN_SHOWN)
+    return ValueError(f"symbol {repr(token[:_TOKEN_SHOWN])[1:]}{cut} is not an unsigned decimal")
+
+
+def _past_int32(token: bytes) -> ValueError:
+    cut = "..." * (len(token) > _TOKEN_SHOWN)
+    return ValueError(f"symbol {token[:_TOKEN_SHOWN].decode()}{cut} out of bounds for int32")
 
 
 def _read_symbols(path: str) -> np.ndarray:
     """Unsigned decimals separated by ASCII whitespace, as int32.
 
-    Any other token, or a value past int32, raises ValueError naming it.
+    Any other token, or a value past int32, raises ValueError naming it; so
+    does a file of more than ``compressor.MAX_SYMBOLS`` symbols, as soon as
+    that many are read.
     """
     out = array("i")
     tail = b""
@@ -151,15 +172,25 @@ def _read_symbols(path: str) -> np.ndarray:
                 text = head[0] if head else b""
             if text.translate(None, b"0123456789 \t\n\v\f\r"):
                 # bytes split and isdigit know ASCII whitespace and digits alone
-                bad = next(tok for tok in text.split() if not tok.isdigit())
-                raise ValueError(f"symbol {repr(bad)[1:]} is not an unsigned decimal")
+                raise _not_decimal(next(tok for tok in text.split() if not tok.isdigit()))
             # numpy reads a blank text as [0], and a number past int64 as its maximum
             if not text.isspace():
                 values = np.fromstring(text, dtype=np.int64, sep=" ")
                 if values.max(initial=0) >= 2**31:
-                    bad = text.split()[int(np.argmax(values >= 2**31))]
-                    raise ValueError(f"symbol {bad.decode()} out of bounds for int32")
+                    raise _past_int32(text.split()[int(np.argmax(values >= 2**31))])
                 out.frombytes(values.astype(np.int32).tobytes())
+                if len(out) > compressor.MAX_SYMBOLS:
+                    raise ValueError(f"{path}: more than the stream limit of {compressor.MAX_SYMBOLS} symbols")
+            if len(tail) > _TOKEN_SHOWN:
+                # a carried token is decided once it is too long to be named
+                # whole, so that no chunk copies it again: refused, or kept
+                # with its leading zeros cut to those an error would name
+                if not tail.isdigit():
+                    raise _not_decimal(tail)
+                digits = tail.lstrip(b"0")
+                if len(digits) > 10:
+                    raise _past_int32(tail)
+                tail = tail[: min(len(tail) - len(digits), _TOKEN_SHOWN)] + digits
             if not chunk:
                 return np.frombuffer(out, dtype=np.int32)
 
@@ -167,9 +198,10 @@ def _read_symbols(path: str) -> np.ndarray:
 def _cmd_compress(args: argparse.Namespace) -> int:
     # the alphabet follows sweep's --cells rule, checked before the file is read
     RunConfig(n_list=(args.cells,))
-    symbols = _read_symbols(args.input)
+    _check_outputs(output=args.output)
+    seq = SymbolicSequence(_read_symbols(args.input), args.cells)
     encoder = getattr(compressor, compressor.CODERS[args.algorithm][0])
-    stream, report = encoder(symbols, alphabet_size=args.cells)
+    stream, report = encoder(seq)
     with open(args.output, "wb") as fh:
         fh.write(stream)
     print(
@@ -181,6 +213,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
+    _check_outputs(output=args.output)
     with open(args.input, "rb") as fh:
         stream = fh.read()
     seq, algorithm = compressor.decode(stream)

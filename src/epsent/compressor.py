@@ -63,7 +63,6 @@ import struct
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -160,22 +159,19 @@ def _unpack_header(data: bytes) -> tuple[int, int, str]:
     return alphabet_size, input_len, ALGORITHMS[algo_id]
 
 
-def _as_symbols(seq: SymbolicSequence | Sequence[int] | np.ndarray, alphabet_size: int | None) -> tuple[np.ndarray, int]:
+def _as_symbols(seq: SymbolicSequence) -> tuple[np.ndarray, int]:
     """An encoder's input as int32 symbols and an alphabet size the stream can hold.
 
     The sizes are checked here; the symbols' dtype and range are checked by
     :class:`SymbolicSequence`.
     """
-    if isinstance(seq, SymbolicSequence):
-        seq, alphabet_size = seq.symbols, seq.alphabet_size
-    elif alphabet_size is None:
-        raise ValueError("raw symbols need an alphabet_size")
-    symbols = np.asarray(seq)
-    if not 2 <= alphabet_size <= MAX_ALPHABET:
-        raise ValueError(f"alphabet size {alphabet_size} outside [2, {MAX_ALPHABET}]")
-    if symbols.size > MAX_SYMBOLS:
-        raise ValueError(f"{symbols.size} symbols exceed the stream limit of {MAX_SYMBOLS}")
-    return SymbolicSequence(symbols, alphabet_size).symbols, alphabet_size
+    if not isinstance(seq, SymbolicSequence):
+        raise TypeError(f"the coders take a SymbolicSequence, not {type(seq).__name__}")
+    if not 2 <= seq.alphabet_size <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size {seq.alphabet_size} outside [2, {MAX_ALPHABET}]")
+    if len(seq) > MAX_SYMBOLS:
+        raise ValueError(f"{len(seq)} symbols exceed the stream limit of {MAX_SYMBOLS}")
+    return seq.symbols, seq.alphabet_size
 
 
 def _finish(
@@ -286,12 +282,9 @@ def _ranked_symbols(parents: np.ndarray, ranks: np.ndarray, nsym: int) -> np.nda
     return x
 
 
-def lz78_encode(
-    seq: SymbolicSequence | Sequence[int] | np.ndarray,
-    alphabet_size: int | None = None,
-) -> tuple[bytes, CompressionReport]:
+def lz78_encode(seq: SymbolicSequence) -> tuple[bytes, CompressionReport]:
     """Incremental-parse encode; returns the bitstream and its report."""
-    symbols, nsym = _as_symbols(seq, alphabet_size)
+    symbols, nsym = _as_symbols(seq)
     # pass 1, the parse: edge (phrase, symbol s) is keyed phrase * nsym + s
     # and maps to the child's own base key, child phrase * nsym
     trie: dict[int, int] = {}
@@ -422,12 +415,9 @@ def _lz78_decode_body(octets: np.ndarray, total: int, nsym: int, input_len: int)
     return np.frombuffer(out, dtype=np.int32), pos
 
 
-def castore_encode(
-    seq: SymbolicSequence | Sequence[int] | np.ndarray,
-    alphabet_size: int | None = None,
-) -> tuple[bytes, CompressionReport]:
+def castore_encode(seq: SymbolicSequence) -> tuple[bytes, CompressionReport]:
     """Pair-concatenation encode; returns the bitstream and its report."""
-    symbols, nsym = _as_symbols(seq, alphabet_size)
+    symbols, nsym = _as_symbols(seq)
     n = symbols.size
     # a sentinel past the end forms no key, so the walks need no bounds test
     syms = symbols.tolist()

@@ -46,9 +46,10 @@ class Partition:
         return 1.0 / self.n_cells
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymbolicSequence:
-    """Finite word over the alphabet {0..N-1}, N = ``alphabet_size``."""
+    """Finite word over the alphabet {0..N-1}, N = ``alphabet_size``.  Its
+    fields are checked once, here, and frozen, so the coders can trust them."""
 
     symbols: np.ndarray
     alphabet_size: int
@@ -66,7 +67,7 @@ class SymbolicSequence:
                 if bad < 0:
                     raise ValueError(f"negative symbol {bad}")
                 raise ValueError(f"symbol {bad} out of alphabet range [0, {limit})")
-        self.symbols = symbols.astype(np.int32, copy=False)
+        object.__setattr__(self, "symbols", symbols.astype(np.int32, copy=False))
 
     def __len__(self) -> int:
         return int(self.symbols.size)

@@ -13,7 +13,7 @@ import numpy as np
 from . import bounds, compressor, dynamics, estimators
 from .config import RunConfig
 from .dynamics import MapSpec, NoiseSpec, generate_orbit, iterate_map_array, sample_noise
-from .partition import Partition, encode, refine_cylinders
+from .partition import Partition, SymbolicSequence, encode, refine_cylinders
 from .sweep import curves_to_rows, detect_sigma, run_grid
 
 
@@ -60,7 +60,7 @@ def doubling_rate_oracle() -> None:
 def iid_rate_oracle() -> None:
     rng = np.random.default_rng(2)
     symbols = rng.integers(0, 4, size=200_000, dtype=np.int32)
-    _, report = compressor.lz78_encode(symbols, alphabet_size=4)
+    _, report = compressor.lz78_encode(SymbolicSequence(symbols, 4))
     _expect(0.9 * 2.0 <= report.rate <= 1.3 * 2.0, f"rate {report.rate:.4f}")
 
 
@@ -76,11 +76,10 @@ def round_trips() -> None:
     for _ in range(100):
         n = int(rng.integers(2, 17))
         length = int(rng.integers(0, 400))
-        symbols = rng.integers(0, n, size=length, dtype=np.int32)
+        seq = SymbolicSequence(rng.integers(0, n, size=length, dtype=np.int32), n)
         for enc in (compressor.lz78_encode, compressor.castore_encode):
-            stream, _ = enc(symbols, alphabet_size=n)
-            seq, _ = compressor.decode(stream)
-            _expect(np.array_equal(seq.symbols, symbols))
+            stream, _ = enc(seq)
+            _expect(np.array_equal(compressor.decode(stream)[0].symbols, seq.symbols))
 
 
 def cylinder_geometry() -> None:

@@ -92,7 +92,7 @@ class TestCriterion2PureNoiseOracle:
     def test_iid_uniform_rate_band(self, n_cells):
         rng = np.random.default_rng(2_000 + n_cells)
         symbols = rng.integers(0, n_cells, size=1_000_000, dtype=np.int32)
-        _, rep = lz78_encode(symbols, alphabet_size=n_cells)
+        _, rep = lz78_encode(SymbolicSequence(symbols, n_cells))
         entropy = math.log2(n_cells)
         assert report(
             "2", 0.9 * entropy <= rep.rate <= 1.3 * entropy,
@@ -156,7 +156,7 @@ class TestCriterion6CompressorCorrectness:
             n_sym = int(rng.integers(2, 65))
             symbols = rng.integers(0, n_sym, size=length, dtype=np.int32)
             for encoder in (lz78_encode, castore_encode):
-                stream, _ = encoder(symbols, alphabet_size=n_sym)
+                stream, _ = encoder(SymbolicSequence(symbols, n_sym))
                 out, _ = decode(stream)
                 assert np.array_equal(out.symbols, symbols), (encoder, n_sym, length)
             checked += 1
@@ -168,7 +168,7 @@ class TestCriterion6CompressorCorrectness:
             for value in range(1 << length):
                 symbols = [(value >> i) & 1 for i in range(length)]
                 for encoder in (lz78_encode, castore_encode):
-                    stream, _ = encoder(symbols, alphabet_size=2)
+                    stream, _ = encoder(SymbolicSequence(symbols, 2))
                     out, _ = decode(stream)
                     assert out.symbols.tolist() == symbols
                 count += 1

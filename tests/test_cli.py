@@ -11,6 +11,7 @@ import epsent
 from epsent import cli, selftest, sweep
 from epsent.cli import dispatch
 from epsent.config import SCHEMA, ConfigError, RunConfig, load_config
+from epsent.partition import SymbolicSequence
 
 # A non-default value for every config key.  Its sweep flag is the key with
 # dashes, except --cells for n_list.
@@ -598,6 +599,44 @@ class TestCompressionCommands:
         assert symbols.dtype == np.int32
         assert symbols.tolist() == [int(tok) for tok in text.split()]
 
+    def test_reading_stops_at_the_stream_limit(self, tmp_path, monkeypatch, capsys):
+        # the bad token after the limit is never reached
+        monkeypatch.setattr(cli.compressor, "MAX_SYMBOLS", 4)
+        monkeypatch.setattr(cli, "_TEXT_CHUNK", 4)
+        src = tmp_path / "in.txt"
+        src.write_text("0 1 0 1 0 1 0 1 x\n")
+        packed = tmp_path / "out.bin"
+        assert dispatch(["compress", "--cells", "2", str(src), str(packed)]) == 1
+        assert capsys.readouterr().err == f"error: {src}: more than the stream limit of 4 symbols\n"
+        assert not packed.exists()
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            (b"1" * (4 << 20), "symbol " + "1" * 32 + "... out of bounds for int32"),
+            (b"x" * (4 << 20), "symbol '" + "x" * 32 + "'... is not an unsigned decimal"),
+            (b"0" * (4 << 20) + b"x", "symbol '" + "0" * 32 + "'... is not an unsigned decimal"),
+            (b"0" * 40 + b"12345678901", "symbol " + "0" * 32 + "... out of bounds for int32"),
+        ],
+        ids=["digits", "letters", "zeros_then_letter", "zeros_then_11_digits"],
+    )
+    def test_long_token_is_refused_by_its_start(self, tmp_path, monkeypatch, token, message):
+        # one carried token is not copied chunk after chunk, and its error
+        # names its first 32 bytes alone
+        monkeypatch.setattr(cli, "_TEXT_CHUNK", 64)
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"5 " + token + b" 6")
+        with pytest.raises(ValueError) as refusal:
+            cli._read_symbols(str(src))
+        assert str(refusal.value) == message
+
+    @pytest.mark.parametrize("chunk", [3, 64, 1 << 18])
+    def test_leading_zeros_of_any_run_are_read(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_TEXT_CHUNK", chunk)
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"0" * 5000 + b"2147483647 " + b"0" * 100 + b" 0" * 3 + b" 00012")
+        assert cli._read_symbols(str(src)).tolist() == [2**31 - 1, 0, 0, 0, 0, 12]
+
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 18])
     @pytest.mark.parametrize(
         "text",
@@ -635,7 +674,7 @@ class TestCompressionCommands:
     def test_decompressed_file_is_one_symbol_per_line(self, tmp_path, monkeypatch, chunk, length):
         monkeypatch.setattr(cli, "_TEXT_CHUNK", chunk)
         symbols = np.random.default_rng(length).integers(0, 300, size=length)
-        stream, _ = epsent.compressor.castore_encode(symbols, alphabet_size=300)
+        stream, _ = epsent.compressor.castore_encode(SymbolicSequence(symbols, 300))
         packed = tmp_path / "in.bin"
         packed.write_bytes(stream)
         restored = tmp_path / "out.txt"
@@ -643,9 +682,47 @@ class TestCompressionCommands:
         assert restored.read_bytes() == "".join(f"{s}\n" for s in symbols.tolist()).encode()
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["simulate", "compress", "decompress"])
+    @pytest.mark.parametrize(
+        "path, problem",
+        [("missing/x.txt", "no directory 'missing' for 'missing/x.txt'"), ("sub", "'sub' is a directory")],
+        ids=["missing_dir", "is_dir"],
+    )
+    def test_unwritable_output_path_exits_2_before_any_work(
+        self, command, path, problem, tmp_path, monkeypatch, capsys
+    ):
+        for name in ("generate_orbit", "sample_invariant_orbit", "_read_symbols"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the work started"))
+        monkeypatch.setattr(cli.compressor, "decode", lambda *args: pytest.fail("the work started"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "in.txt").write_text("0 1 1\n")
+        (tmp_path / "in.bin").write_bytes(
+            epsent.compressor.lz78_encode(SymbolicSequence([0, 1, 1], 2))[0]
+        )
+        argv, key = {
+            "simulate": (["simulate", "--out", path], "out"),
+            "compress": (["compress", "--cells", "2", "in.txt", path], "output"),
+            "decompress": (["decompress", "in.bin", path], "output"),
+        }[command]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"configuration error: {key}: {problem}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 class TestParser:
     def test_built_once_per_process(self):
         assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_flags_default_to_the_sweep_settings(self):
+        sim = cli.build_parser().parse_args(["simulate", "--out", "x"])
+        comp = cli.build_parser().parse_args(["compress", "--cells", "2", "in", "out"])
+        shared = [(sim.map, "map"), (sim.lam, "lam"), (sim.boundary, "boundary"),
+                  (sim.burn_in, "burn_in"), (comp.algorithm, "algorithm")]
+        for parsed, field in shared:
+            assert parsed == getattr(RunConfig, field), field
 
     def test_each_command_still_parses_its_own_flags(self):
         args = cli.build_parser().parse_args(["sweep", "--sigma", "0.1", "--sigma", "0.2"])

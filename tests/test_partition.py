@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -262,3 +263,10 @@ class TestSymbolicSequence:
             SymbolicSequence([0, 1, 1.0], 4)
         # no symbol to narrow: an empty float array is an empty sequence
         assert len(SymbolicSequence(np.array([]), 2)) == 0
+
+    def test_checked_fields_cannot_be_rebound(self):
+        seq = SymbolicSequence(np.array([0, 1]), 2)
+        for field, value in (("symbols", np.array([0, 7])), ("alphabet_size", 8)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(seq, field, value)
+        assert seq.symbols.tolist() == [0, 1] and seq.alphabet_size == 2
