@@ -525,10 +525,36 @@ class TestOutputLimit:
         stream, rep = encoder(seq)
         assert decode(stream)[0].symbols.tolist() == [3, 0, 3, 3]
         assert rep.input_len == 4
-        # raw symbols are refused, not range-checked here a second time
-        for symbols in ([0, 1, 1], np.array([0, 1, 1], dtype=np.int32)):
+
+    @pytest.mark.parametrize("encoder", [lz78_encode, castore_encode])
+    def test_encoders_refuse_wide_symbols_before_narrowing_them(self, encoder):
+        # the sequence a coder takes refuses them: 2**32 + 1 would read as 1
+        # after a cast to int32
+        for seq in ([0, 1, 2**32 + 1, 3], np.array([0, 1, 2**32 + 1, 3])):
+            with pytest.raises(ValueError, match="out of alphabet range"):
+                encoder(SymbolicSequence(seq, 4))
+        # and 1 - 2**32 as 1
+        with pytest.raises(ValueError, match="negative symbol"):
+            encoder(SymbolicSequence(np.array([0, 1 - 2**32]), 4))
+
+    @pytest.mark.parametrize("encoder", [lz78_encode, castore_encode])
+    def test_encoders_refuse_float_symbols(self, encoder):
+        with pytest.raises(ValueError, match="integer dtype"):
+            encoder(SymbolicSequence(np.array([0.5, 1.7, 2.2]), 4))
+        with pytest.raises(ValueError, match="integer dtype"):
+            encoder(SymbolicSequence([0.0, 1.0], 2))
+        # an empty input carries no symbols to narrow
+        assert encoder(SymbolicSequence([], 4))[1].input_len == 0
+
+    @pytest.mark.parametrize("encoder", [lz78_encode, castore_encode])
+    def test_raw_symbols_need_an_alphabet_size(self, encoder):
+        # raw symbols are refused, not range-checked here a second time, and
+        # no alphabet is inferred from the largest symbol
+        for symbols in ([0, 1, 1], np.array([0, 1, 1], dtype=np.int32), []):
             with pytest.raises(TypeError, match="take a SymbolicSequence, not"):
                 encoder(symbols)
+        with pytest.raises(TypeError, match="alphabet_size"):
+            SymbolicSequence([0, 1, 1])
         # the sequence's own alphabet is the only one: no keyword can replace it
         with pytest.raises(TypeError, match="alphabet_size"):
             encoder(SymbolicSequence(np.array([0, 1, 3]), 4), alphabet_size=8)
