@@ -17,7 +17,6 @@ point masses at 0 and 1, so no finite K exists; it keeps the nominal
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dynamics import NoiseSpec
 from .estimators import bernoulli_entropy
@@ -92,20 +91,11 @@ def kifer_lower(eps: float, density_bound: float) -> float:
     return -math.log2(eps) - math.log2(density_bound)
 
 
-@dataclass(frozen=True)
-class BoundSet:
-    """The analytic bounds a grid row reports for one (sigma, eps) cell."""
-
-    pure_noise_line: float
-    kifer_lower: float
-    upper_bound: float
-    envelope_high: float
-
-
 def envelope(
     h_eps: float, delta: float, p: float, eps: float, eps_n0: float, noise: NoiseSpec
-) -> BoundSet:
-    """Assemble the two-regime envelope for one grid cell under ``noise``.
+) -> dict[str, float]:
+    """The two-regime envelope of one grid cell under ``noise``: the four
+    bounds its row reports, keyed by their CSV columns.
 
     ``upper_bound`` follows the configured noise mode, also at sigma = 0: the
     output-noise bound at eps under output noise, the dynamical bound at
@@ -124,9 +114,9 @@ def envelope(
         high = dyn_up
     else:
         high = min(pure, dyn_up)
-    return BoundSet(
-        pure_noise_line=pure,
-        kifer_lower=kifer_lower(eps, noise_density_bound(sigma, noise.boundary)),
-        upper_bound=upper,
-        envelope_high=high,
-    )
+    return {
+        "pure_noise_line": pure,
+        "kifer_lower": kifer_lower(eps, noise_density_bound(sigma, noise.boundary)),
+        "upper_bound": upper,
+        "envelope_high": high,
+    }

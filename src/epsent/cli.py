@@ -87,12 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(**paths: str | None) -> None:
-    """Refuse each output path, by its key, whose directory is missing or that
-    is a directory: writing it would fail only after all the work was done."""
+    """Refuse each output path, by its key, that is empty, whose directory is
+    missing or that is a directory: writing it would fail only after all the
+    work was done.  A ``None`` path is not written and not checked."""
     for key, path in paths.items():
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if path is None:
+            continue
+        if not path:
+            raise ConfigError(f"{key}: empty path")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"{key}: no directory {os.path.dirname(path)!r} for {path!r}")
-        if path and os.path.isdir(path):
+        if os.path.isdir(path):
             raise ConfigError(f"{key}: {path!r} is a directory")
 
 
@@ -103,7 +108,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # the plot, written second, would replace the CSV
     if cfg.out_plot and os.path.realpath(cfg.out_plot) == os.path.realpath(out_csv):
         raise ConfigError(f"out_plot: {cfg.out_plot!r} is the out_csv path {out_csv!r}")
-    _check_outputs(out_csv=out_csv, out_plot=cfg.out_plot)
+    # an empty out_plot asks for no plot
+    _check_outputs(out_csv=out_csv, out_plot=cfg.out_plot or None)
     cells = run_grid(cfg)
     emit_csv(cells, out_csv)
     print(f"wrote {out_csv}", file=sys.stderr)
@@ -153,12 +159,30 @@ def _past_int32(token: bytes) -> ValueError:
     return ValueError(f"symbol {token[:_TOKEN_SHOWN].decode()}{cut} out of bounds for int32")
 
 
+def _first_fault(text: bytes, room: int, path: str) -> ValueError:
+    """The error of the first fault in ``text``: a token that is not an
+    unsigned decimal, a value past int32, or the symbol past the ``room``
+    left under the stream limit."""
+    # bytes split and isdigit know ASCII whitespace and digits alone
+    for i, token in enumerate(text.split()):
+        if not token.isdigit():
+            return _not_decimal(token)
+        # int() refuses more than 4,300 digits, so it never sees more than 10
+        digits = token.lstrip(b"0")
+        if len(digits) > 10 or int(digits or b"0") >= 2**31:
+            return _past_int32(token)
+        if i == room:
+            return ValueError(f"{path}: more than the stream limit of {compressor.MAX_SYMBOLS} symbols")
+    raise AssertionError("no fault in the text")
+
+
 def _read_symbols(path: str) -> np.ndarray:
     """Unsigned decimals separated by ASCII whitespace, as int32.
 
     Any other token, or a value past int32, raises ValueError naming it; so
     does a file of more than ``compressor.MAX_SYMBOLS`` symbols, as soon as
-    that many are read.
+    that many are read.  The error names the first of these faults in the
+    file, whatever the read chunk.
     """
     out = array("i")
     tail = b""
@@ -170,17 +194,15 @@ def _read_symbols(path: str) -> np.ndarray:
                 # the last token may go on in the next chunk
                 *head, tail = text.rsplit(None, 1)
                 text = head[0] if head else b""
+            room = compressor.MAX_SYMBOLS - len(out)
             if text.translate(None, b"0123456789 \t\n\v\f\r"):
-                # bytes split and isdigit know ASCII whitespace and digits alone
-                raise _not_decimal(next(tok for tok in text.split() if not tok.isdigit()))
+                raise _first_fault(text, room, path)
             # numpy reads a blank text as [0], and a number past int64 as its maximum
             if not text.isspace():
                 values = np.fromstring(text, dtype=np.int64, sep=" ")
-                if values.max(initial=0) >= 2**31:
-                    raise _past_int32(text.split()[int(np.argmax(values >= 2**31))])
+                if values.max(initial=0) >= 2**31 or len(values) > room:
+                    raise _first_fault(text, room, path)
                 out.frombytes(values.astype(np.int32).tobytes())
-                if len(out) > compressor.MAX_SYMBOLS:
-                    raise ValueError(f"{path}: more than the stream limit of {compressor.MAX_SYMBOLS} symbols")
             if len(tail) > _TOKEN_SHOWN:
                 # a carried token is decided once it is too long to be named
                 # whole, so that no chunk copies it again: refused, or kept

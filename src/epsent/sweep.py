@@ -3,7 +3,7 @@
 Each sigma of the grid generates one noisy orbit, and every partition of the
 grid observes that same orbit: each grid cell codes it symbolically and
 measures its compression rate, block-entropy rate and conditional entropy,
-alongside the one-step mismatch probability and the analytic bound set.  The
+alongside the one-step mismatch probability and the analytic bounds.  The
 mismatch probe (the images f(x) of points x sampled from the perturbed
 system) is likewise built once per sigma and shared by its partitions; each
 cell only draws its own noise on it.  The orbit and the probe are seeded by
@@ -30,13 +30,14 @@ in CSV order, and the writers keep the order they are given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import groupby
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundSet, envelope
+from .bounds import envelope
 from .compressor import CODERS, castore_encode, lz78_encode
 from .config import RunConfig
 from .dynamics import MapSpec, NoiseSpec, iterate_map_array, sample_invariant_orbit
@@ -53,19 +54,23 @@ from .seeds import cell_seed, companion_seed, orbit_seed, probe_seed
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One grid cell: the values of its CSV row."""
+    """One grid cell: its CSV row, whose columns are these fields in order
+    (see :data:`CSV_COLUMNS`)."""
 
     sigma: float
     eps: float
     n_cells: int
     orbit_len: int
-    compression_rate: float
-    block_rate: float
-    cond_entropy: float
+    compression_rate_bits: float
+    block_rate_bits: float
+    cond_entropy_bits: float
     n0: int
     p_hat: float
     p_halfwidth: float
-    bounds: BoundSet
+    pure_noise_line: float
+    kifer_lower: float
+    upper_bound: float
+    envelope_high: float
     cell_seed: int
 
 
@@ -165,19 +170,18 @@ def _cell_task(
 
         # the seed draws only this cell's noise on the sigma's mismatch probe
         p_hat, p_half = estimate_p(fx, part, replace(noise, seed=seed))
-        bset = envelope(sel.deepest, sel.gap, p_hat, eps, eps_n0, noise)
         return CurvePoint(
             sigma=noise.sigma,
             eps=eps,
             n_cells=n,
             orbit_len=config.length,
-            compression_rate=report.rate,
-            block_rate=block_rate,
-            cond_entropy=cond_e,
+            compression_rate_bits=report.rate,
+            block_rate_bits=block_rate,
+            cond_entropy_bits=cond_e,
             n0=sel.n0,
             p_hat=p_hat,
             p_halfwidth=p_half,
-            bounds=bset,
+            **envelope(sel.deepest, sel.gap, p_hat, eps, eps_n0, noise),
             cell_seed=seed,
         )
     except Exception as exc:
@@ -304,31 +308,21 @@ def _fmt(value: float | int) -> str:
     return f"{value:.9g}"
 
 
-# each CSV column and its value for cell p, in column order
-_CSV_TABLE = (
-    ("sigma", lambda p: p.sigma),
-    ("eps", lambda p: p.eps),
-    ("n_cells", lambda p: p.n_cells),
-    ("orbit_len", lambda p: p.orbit_len),
-    ("compression_rate_bits", lambda p: p.compression_rate),
-    ("block_rate_bits", lambda p: p.block_rate),
-    ("cond_entropy_bits", lambda p: p.cond_entropy),
-    ("n0", lambda p: p.n0),
-    ("p_hat", lambda p: p.p_hat),
-    ("p_halfwidth", lambda p: p.p_halfwidth),
-    ("pure_noise_line", lambda p: p.bounds.pure_noise_line),
-    ("kifer_lower", lambda p: p.bounds.kifer_lower),
-    ("upper_bound", lambda p: p.bounds.upper_bound),
-    ("envelope_low", lambda p: p.bounds.kifer_lower),
-    ("envelope_high", lambda p: p.bounds.envelope_high),
-    ("cell_seed", lambda p: p.cell_seed),
-)
-CSV_COLUMNS = tuple(name for name, _ in _CSV_TABLE)
+def _fields_with_envelope_low(low: str) -> tuple[str, ...]:
+    """CurvePoint's field names in order, with ``low`` before envelope_high."""
+    names = [f.name for f in fields(CurvePoint)]
+    at = names.index("envelope_high")
+    return (*names[:at], low, *names[at:])
+
+
+# envelope_low, the one column that is not a field, repeats kifer_lower
+CSV_COLUMNS = _fields_with_envelope_low("envelope_low")
+_row_values = attrgetter(*_fields_with_envelope_low("kifer_lower"))
 
 
 def curves_to_rows(cells: Sequence[CurvePoint]) -> list[list[str]]:
     """CSV body rows, one per cell in order, floats at 9 significant digits."""
-    return [[_fmt(value(p)) for _, value in _CSV_TABLE] for p in cells]
+    return [[_fmt(value) for value in _row_values(p)] for p in cells]
 
 
 def emit_csv(cells: Sequence[CurvePoint], path: str) -> None:
@@ -354,6 +348,6 @@ def emit_plot_data(cells: Sequence[CurvePoint], path: str) -> None:
                     fh.write("\n\n")
                 fh.write(f"# sigma = {_fmt(sigma)}\n")
                 for p in block:
-                    fh.write(f"{_fmt(p.eps)} {_fmt(p.compression_rate)}\n")
+                    fh.write(f"{_fmt(p.eps)} {_fmt(p.compression_rate_bits)}\n")
     except OSError as exc:
         raise OSError(f"cannot write plot data to {path}: {exc}") from exc

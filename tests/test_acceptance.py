@@ -56,7 +56,7 @@ class TestCriterion1FigureReproduction:
     def test_a_coarse_scale_rate_near_one_bit(self, experiment_cells):
         ok = True
         for sigma in (0.02, 0.01, 0.001):
-            rate = point_for(experiment_cells, sigma, 0.5).compression_rate
+            rate = point_for(experiment_cells, sigma, 0.5).compression_rate_bits
             ok &= report(
                 "1a", 0.85 <= rate <= 1.15, f"sigma={sigma} eps=0.5 rate={rate:.4f} in [0.85, 1.15]"
             )
@@ -70,14 +70,14 @@ class TestCriterion1FigureReproduction:
             target = -math.log2(p.eps)
             ok &= report(
                 "1b",
-                abs(p.compression_rate - target) <= 0.2 * target,
-                f"sigma=0.5 eps={p.eps:.6g} rate={p.compression_rate:.4f} "
+                abs(p.compression_rate_bits - target) <= 0.2 * target,
+                f"sigma=0.5 eps={p.eps:.6g} rate={p.compression_rate_bits:.4f} "
                 f"vs -log2(eps)={target:.4f} (20% band)",
             )
         assert ok
 
     def test_c_curves_ordered_by_sigma_at_finest_scale(self, experiment_cells):
-        rates = [point_for(experiment_cells, s, 0.004).compression_rate
+        rates = [point_for(experiment_cells, s, 0.004).compression_rate_bits
                  for s in (0.5, 0.1, 0.02, 0.01, 0.001)]
         inversions = sum(1 for a, b in zip(rates, rates[1:]) if a < b)
         assert report(
@@ -119,11 +119,11 @@ class TestCriterion4BoundSandwich:
             if p.p_halfwidth >= 0.02:
                 continue
             checked += 1
-            low = p.bounds.kifer_lower - 0.3
-            high = p.bounds.envelope_high + max(0.2, 0.15 * p.bounds.envelope_high)
-            if not low <= p.compression_rate <= high:
+            low = p.kifer_lower - 0.3
+            high = p.envelope_high + max(0.2, 0.15 * p.envelope_high)
+            if not low <= p.compression_rate_bits <= high:
                 violations.append(
-                    f"sigma={p.sigma} N={p.n_cells}: rate={p.compression_rate:.3f} "
+                    f"sigma={p.sigma} N={p.n_cells}: rate={p.compression_rate_bits:.3f} "
                     f"outside [{low:.3f}, {high:.3f}]"
                 )
         assert report(
@@ -137,7 +137,7 @@ class TestCriterion5SigmaDetection:
     @pytest.mark.parametrize("sigma", [0.1, 0.02, 0.01])
     def test_detects_noise_amplitude(self, experiment_cells, sigma):
         curve = curve_for(experiment_cells, sigma)
-        det = detect_sigma([(p.eps, p.compression_rate, p.cond_entropy) for p in curve])
+        det = detect_sigma([(p.eps, p.compression_rate_bits, p.cond_entropy_bits) for p in curve])
         est = det.sigma_estimate
         ok = det.status == "detected" and max(est / sigma, sigma / est) <= 5.0
         assert report(

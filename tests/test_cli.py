@@ -304,7 +304,7 @@ class TestSweepCommand:
         cells = sweep.run_grid(config)
         assert [point.n_cells for point in cells] == [2, 250]
         for point in cells:
-            assert 0.0 <= point.block_rate <= np.log2(point.n_cells)
+            assert 0.0 <= point.block_rate_bits <= np.log2(point.n_cells)
 
     def test_sampled_sweep_writes_no_warning(self, tmp_path):
         # the SMALL grid of test_sweep.py: its default depths are all sampled
@@ -425,6 +425,12 @@ class TestSweepCommand:
         assert dispatch(["sweep", *flags]) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_empty_paths_mean_the_default_csv_and_no_plot(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_grid", lambda cfg: [])
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["sweep", "--out-csv", "", "--out-plot", ""]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
 class TestSimulateCommand:
@@ -610,6 +616,41 @@ class TestCompressionCommands:
         assert capsys.readouterr().err == f"error: {src}: more than the stream limit of 4 symbols\n"
         assert not packed.exists()
 
+    @pytest.mark.parametrize("chunk", [1 << 18, 11, 4])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("4294967296 abc", "symbol 4294967296 out of bounds for int32"),
+            ("abc 4294967296", "symbol 'abc' is not an unsigned decimal"),
+            ("1 99999999999 x", "symbol 99999999999 out of bounds for int32"),
+            ("0 0 0 0 0 x", "{src}: more than the stream limit of 4 symbols"),
+            ("0 0 0 0 0 4294967296", "{src}: more than the stream limit of 4 symbols"),
+            ("0 0 0 0 x 0", "symbol 'x' is not an unsigned decimal"),
+            ("0 0 0 0 4294967296 0", "symbol 4294967296 out of bounds for int32"),
+            ("0 0 " + "0" * 5000 + "9" * 4400 + " x", "symbol " + "0" * 32 + "... out of bounds for int32"),
+        ],
+        ids=[
+            "range_before_token",
+            "token_before_range",
+            "range_before_later_token",
+            "limit_before_token",
+            "limit_before_range",
+            "token_at_limit",
+            "range_at_limit",
+            "long_range_before_token",
+        ],
+    )
+    def test_first_fault_in_the_file_is_named(self, tmp_path, monkeypatch, chunk, text, message):
+        # the fifth symbol passes a limit of 4, so a bad token after it is not named
+        monkeypatch.setattr(cli.compressor, "MAX_SYMBOLS", 4)
+        monkeypatch.setattr(cli, "_TEXT_CHUNK", chunk)
+        src = tmp_path / "in.txt"
+        # a closing newline leaves no token to carry past the last chunk
+        src.write_text(text + "\n")
+        with pytest.raises(ValueError) as refusal:
+            cli._read_symbols(str(src))
+        assert str(refusal.value) == message.format(src=src)
+
     @pytest.mark.parametrize(
         "token, message",
         [
@@ -686,8 +727,12 @@ class TestOutputPaths:
     @pytest.mark.parametrize("command", ["simulate", "compress", "decompress"])
     @pytest.mark.parametrize(
         "path, problem",
-        [("missing/x.txt", "no directory 'missing' for 'missing/x.txt'"), ("sub", "'sub' is a directory")],
-        ids=["missing_dir", "is_dir"],
+        [
+            ("missing/x.txt", "no directory 'missing' for 'missing/x.txt'"),
+            ("sub", "'sub' is a directory"),
+            ("", "empty path"),
+        ],
+        ids=["missing_dir", "is_dir", "empty"],
     )
     def test_unwritable_output_path_exits_2_before_any_work(
         self, command, path, problem, tmp_path, monkeypatch, capsys

@@ -1,9 +1,11 @@
-"""Each module imports on its own, and loads only what it depends on.
+"""Each module imports on its own, loads only what it depends on, and uses
+every name it imports.
 
 Every import runs in a fresh interpreter, so modules that an earlier test
 loaded cannot hide a missing or circular import.
 """
 
+import ast
 import json
 import pkgutil
 import subprocess
@@ -17,6 +19,7 @@ import epsent
 SRC = str(Path(epsent.__file__).resolve().parents[1])
 # __main__ runs the CLI when imported
 MODULES = sorted(m.name for m in pkgutil.iter_modules(epsent.__path__) if m.name != "__main__")
+SOURCES = sorted(Path(epsent.__file__).parent.glob("*.py"))
 
 
 def loaded_after(statement: str) -> set[str]:
@@ -64,3 +67,21 @@ def test_numpy_is_the_only_runtime_dependency(statement):
     bare = top_level(loaded_after("pass"))
     added = top_level(loaded_after(statement)) - bare - sys.stdlib_module_names
     assert added == {"epsent", "numpy"}
+
+
+# sweep imports the coders by name but calls them through globals(), so that
+# a tracer (perfbench/tracing.py) can rebind the names to time each call
+REACHED_THROUGH_GLOBALS = {"sweep.py": {"castore_encode", "lz78_encode"}}
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=[path.name for path in SOURCES])
+def test_every_imported_name_is_used(source):
+    tree = ast.parse(source.read_text(), filename=str(source))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used == REACHED_THROUGH_GLOBALS.get(source.name, set())

@@ -216,13 +216,13 @@ class TestRunGrid:
     def test_rates_within_cap(self, small_cells):
         for p in small_cells:
             ceiling = 1.15 * math.log2(1.0 / p.eps) + 0.45
-            assert 0.0 <= p.compression_rate <= ceiling
+            assert 0.0 <= p.compression_rate_bits <= ceiling
 
     def test_pure_noise_and_kifer_columns_monotone(self, small_cells):
         for sigma in SMALL.sigma:
             cells = [p for p in small_cells if p.sigma == sigma]
-            pure = [p.bounds.pure_noise_line for p in cells]
-            kifer = [p.bounds.kifer_lower for p in cells]
+            pure = [p.pure_noise_line for p in cells]
+            kifer = [p.kifer_lower for p in cells]
             assert pure == sorted(pure)
             assert kifer == sorted(kifer)
 
@@ -231,7 +231,7 @@ class TestRunGrid:
         assert SMALL.boundary == "reflect"
         for p in small_cells:
             expected = -math.log2(p.eps) + math.log2(p.sigma)
-            assert p.bounds.kifer_lower == pytest.approx(expected, rel=0, abs=1e-12)
+            assert p.kifer_lower == pytest.approx(expected, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["output", "dynamical"])
     def test_noise_free_cells_keep_the_configured_mode(self, mode):
@@ -244,7 +244,7 @@ class TestRunGrid:
         for p in run_grid(config):
             sel = sels[p.n_cells]
             gap = sel.gap if mode == "dynamical" else 0.0
-            assert p.bounds.upper_bound == sel.deepest + gap
+            assert p.upper_bound == sel.deepest + gap
 
     def test_rerun_is_identical(self, small_cells, tmp_path):
         again = run_grid(SMALL)
@@ -488,6 +488,19 @@ class TestCsvEmission:
     def test_unwritable_path(self, small_cells):
         with pytest.raises(OSError):
             emit_csv(small_cells, "/nonexistent-dir/out.csv")
+
+
+@pytest.mark.parametrize(
+    "writer, what", [(emit_csv, "CSV"), (emit_plot_data, "plot data")], ids=["csv", "plot"]
+)
+def test_writer_names_the_path_it_cannot_write(small_cells, tmp_path, writer, what):
+    # a path under a regular file cannot be opened for writing
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / "file" / "out")
+    with pytest.raises(OSError) as refusal:
+        writer(small_cells, path)
+    assert str(refusal.value).startswith(f"cannot write {what} to {path}: ")
+    assert isinstance(refusal.value.__cause__, NotADirectoryError)
 
 
 class TestPlotData:
