@@ -62,7 +62,7 @@ class RunConfig:
     workers: int = _param(1, "parallel worker processes", lo=1, hi=64)
     algorithm: str = _param("lz78", "compressor for the rate", choices=ALGORITHMS)
     p_samples: int = _param(
-        20_000, "Monte-Carlo samples for the mismatch probability", lo=1, hi=MAX_SYMBOLS
+        20_000, "transitions read for p_hat, at most length - 1", lo=1, hi=MAX_SYMBOLS
     )
     delta: float = _param(0.05, "conditional-entropy flatness tolerance")
     # 62 bounds the word-rank ladder's passes per count

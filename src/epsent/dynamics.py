@@ -102,8 +102,9 @@ def iterate_map_array(spec: MapSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == "logistic":
         return spec.lam * x * (1.0 - x)
     if spec.kind == "doubling":
-        y = 2.0 * x
-        return y - np.floor(y)
+        # map_branches' right branch takes [1/2, 1] onto [0, 1], so 1 maps to
+        # 1, as the orbit's window does: 1.0 is the rounding of a state below 1
+        return np.where(x < 0.5, 2.0 * x, 2.0 * x - 1.0)
     return 1.0 - np.abs(1.0 - 2.0 * x)
 
 

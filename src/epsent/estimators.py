@@ -11,9 +11,9 @@ Each call reads its block entropies off one lazy word-rank ladder
 H_1..H_D cost one pass per depth, never index the N^D word space, and sum
 each depth's counts in lexicographic word order.
 
-The one-step mismatch probability p that the bounds take is estimated by
-:func:`estimate_p` on the probe images f(x) that the sweep builds once per
-sigma, comparing cells for one partition.
+The one-step mismatch probability p that the bounds take is read by
+:func:`estimate_p` off the transitions of the orbit the cell observes,
+against the probe images f(z) that the sweep builds once per sigma.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NoiseSpec, apply_boundary_array
+from .dynamics import NoiseSpec
 from .partition import Partition, SymbolicSequence, block_counts, encode
-from .seeds import PROBE_NOISE_STREAM, mix
 
 
 def _entropy_from_counts(counts: np.ndarray, miller_madow: bool = False) -> float:
@@ -152,26 +151,27 @@ def choose_n0(
     return DepthSelection(n0, abs(ces[n0 - 1] - target), n0 < depth, depth, tuple(ces))
 
 
-def estimate_p(fx: np.ndarray, partition: Partition, noise: NoiseSpec) -> tuple[float, float]:
-    """Monte-Carlo one-step cell-mismatch probability and 95% half-width.
+def estimate_p(
+    fx: np.ndarray, seq: SymbolicSequence, partition: Partition, noise: NoiseSpec
+) -> tuple[float, float]:
+    """One-step cell-mismatch probability read off the orbit, and its 95% half-width.
 
-    Estimates P{ cell(policy(f(x) + w)) != cell(f(x)) } over the probe
-    images ``fx`` that the sweep builds, with one w per image drawn fresh
-    from the noise law, seeded by ``mix(noise.seed, PROBE_NOISE_STREAM)``.
-    ``fx`` is not modified.
+    ``seq`` is ``partition``'s coding of the observed orbit y, and ``fx`` the
+    images f(z[t]) of the first n points of the orbit z that ``noise.feedback``
+    drives from y's seed: y itself under dynamical noise, the clean orbit
+    beneath y under output noise.  p is the share of t < n in which
+    cell(f(z[t])) differs from y[t+1]'s symbol; no noise is drawn, and with
+    none p is exactly 0.  The half-width 1.96 sqrt(p(1 - p) / n) treats the
+    transitions along one orbit as independent.  On the five grids of
+    SCIENCE.json it agreed with an independent Monte Carlo within 2 combined
+    standard errors in 55-59 of 60 cells per grid, the largest gap 2.97.
     """
-    samples = len(fx)
-    if samples < 1:
-        raise ValueError("no probe points")
+    reads = len(fx)
+    if not 0 < reads < len(seq):
+        raise ValueError(f"{reads} probe points need 1 to {len(seq) - 1}, one per successor symbol")
     if noise.effective_mode == "none":
         return 0.0, 0.0
 
-    w_rng = np.random.default_rng(mix(noise.seed, PROBE_NOISE_STREAM))
-    w = w_rng.uniform(-noise.sigma, noise.sigma, size=samples)
-    moved = apply_boundary_array(fx + w, noise.boundary)
-
-    before = encode(fx, partition).symbols
-    after = encode(moved, partition).symbols
-    p_hat = float(np.mean(before != after))
-    halfwidth = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
+    p_hat = float(np.mean(encode(fx, partition).symbols != seq.symbols[1 : reads + 1]))
+    halfwidth = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / reads)
     return p_hat, halfwidth

@@ -1,23 +1,25 @@
 """Deterministic seed derivation.
 
 Every random quantity in the package is a pure function of a 64-bit seed.
-Sub-streams (noise draws, initial conditions, lazy mantissa bits, Monte-Carlo
-probes, sweep orbits and cells) are derived with the SplitMix64 finalizer
-chained over integer tags:
+Sub-streams (noise draws, initial conditions, lazy mantissa bits, sweep
+orbits, the companion run and the cells' row ids) are derived with the
+SplitMix64 finalizer chained over integer tags:
 
     s0 = splitmix64(seed)
     s_{k+1} = splitmix64(s_k XOR tag_k)
 
 This mixer is part of the output contract: grid results must not depend on
 execution order or worker count, so orbit and cell seeds are derived from
-indices, never from shared RNG state. Do not change the constants.
+indices, never from shared RNG state. A cell seed draws nothing: it names
+its CSV row. Do not change the constants.
 """
 
 from __future__ import annotations
 
 _MASK = (1 << 64) - 1
 
-# Stream tags. New tags may be appended; existing values are frozen.
+# Stream tags. New tags may be appended; existing values are frozen, and
+# the two probe tags, which no stream draws any more, stay reserved.
 NOISE_STREAM = 0x01
 INIT_STREAM = 0x02
 BITS_STREAM = 0x03
@@ -45,18 +47,14 @@ def mix(seed: int, *tags: int) -> int:
 
 
 def cell_seed(master_seed: int, sigma_index: int, eps_index: int) -> int:
-    """Seed for one (sigma, eps) grid cell; independent of execution order."""
+    """Row id of one (sigma, eps) grid cell; independent of execution order."""
     return mix(master_seed, CELL_STREAM, sigma_index, eps_index)
 
 
 def orbit_seed(master_seed: int, sigma_index: int) -> int:
-    """Seed for the noisy orbit that every partition of one sigma observes."""
+    """Seed for the noisy orbit that every partition of one sigma observes,
+    and for its mismatch probe."""
     return mix(master_seed, ORBIT_STREAM, sigma_index)
-
-
-def probe_seed(master_seed: int, sigma_index: int) -> int:
-    """Seed for the orbit whose images are one sigma's mismatch probe."""
-    return mix(orbit_seed(master_seed, sigma_index), PROBE_ORBIT_STREAM)
 
 
 def companion_seed(master_seed: int) -> int:

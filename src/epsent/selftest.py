@@ -104,16 +104,15 @@ def periodic_estimators() -> None:
 def mismatch_probability() -> None:
     spec, part = MapSpec("logistic", 4.0), Partition(2)
 
-    def probe(noise: NoiseSpec, samples: int) -> np.ndarray:
-        # as in a sweep: images of a burned-in orbit driven by the noise's feedback
-        orbit = dynamics.sample_invariant_orbit(spec, noise.feedback, samples).points
-        return iterate_map_array(spec, orbit)
+    def p_hat(noise: NoiseSpec, length: int) -> float:
+        # as in a sweep: the observed orbit's coding, and the images of the
+        # orbit its noise's feedback drives from the same seed
+        y = dynamics.sample_invariant_orbit(spec, noise, length).points
+        z = dynamics.sample_invariant_orbit(spec, noise.feedback, length - 1).points
+        return estimators.estimate_p(iterate_map_array(spec, z), encode(y, part), part, noise)[0]
 
-    silent = NoiseSpec(sigma=0.0, mode="dynamical", seed=5)
-    p0, _ = estimators.estimate_p(probe(silent, 10_000), part, silent)
-    _expect(p0 == 0.0)
-    loud = NoiseSpec(sigma=1.0, mode="dynamical", seed=5)
-    p1, _ = estimators.estimate_p(probe(loud, 50_000), part, loud)
+    _expect(p_hat(NoiseSpec(sigma=0.0, mode="dynamical", seed=5), 10_000) == 0.0)
+    p1 = p_hat(NoiseSpec(sigma=1.0, mode="dynamical", seed=5), 50_000)
     _expect(p1 >= 0.25, f"p_hat {p1:.4f}")
 
 

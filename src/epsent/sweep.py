@@ -4,13 +4,13 @@ Each sigma of the grid generates one noisy orbit, and every partition of the
 grid observes that same orbit: each grid cell codes it symbolically and
 measures its compression rate, block-entropy rate and conditional entropy,
 alongside the one-step mismatch probability and the analytic bounds.  The
-mismatch probe (the images f(x) of points x sampled from the perturbed
-system) is likewise built once per sigma and shared by its partitions; each
-cell only draws its own noise on it.  The orbit and the probe are seeded by
-(master seed, sigma index) and a cell's noise draws by (master seed, sigma
-index, eps index) on the sorted grid, so results are independent of
-execution order and worker count; re-running a sweep reproduces the output
-byte for byte.
+mismatch probe (the images f(z) of the orbit z that the noise's feedback
+drives from the observed orbit's seed: that orbit itself under dynamical
+noise, the clean orbit beneath it under output noise) is likewise built once
+per sigma and shared by its partitions.  The orbit and the probe are seeded
+by (master seed, sigma index) on the sorted grid, so results are independent
+of execution order and worker count; re-running a sweep reproduces the
+output byte for byte.  ``cell_seed`` is a row id and seeds no draw.
 
 The work goes out as orbit tasks: each sigma's partitions are split into
 k = min(workers, partitions) strided slices, and a task builds its sigma's
@@ -30,7 +30,7 @@ in CSV order, and the writers keep the order they are given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
 from typing import Sequence
@@ -50,7 +50,7 @@ from .estimators import (
     estimate_p,
 )
 from .partition import Partition, encode, refine_cylinders
-from .seeds import cell_seed, companion_seed, orbit_seed, probe_seed
+from .seeds import cell_seed, companion_seed, orbit_seed
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -139,14 +139,15 @@ def _orbit_task(
     """Build grid sigma ``si``'s noisy orbit and mismatch probe and observe
     them with each partition of its slice, given as sorted index ``ei``, cell
     count ``n`` and companion pair; both die with the task.  The probe is
-    the images f(x) of a second orbit, driven by the noise's feedback alone."""
+    the images f(z) of the first ``p_samples`` points (at most length - 1)
+    of the orbit that the noise's feedback drives from the same seed."""
     config, si, sigma, partitions = args
     seed = orbit_seed(config.seed, si)
     noise = NoiseSpec(sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed)
     spec = MapSpec(config.map, config.lam)
     orbit = sample_invariant_orbit(spec, noise, config.length, config.burn_in).points
-    base = replace(noise.feedback, seed=probe_seed(config.seed, si))
-    probe = sample_invariant_orbit(spec, base, config.p_samples, config.burn_in).points
+    reads = min(config.p_samples, config.length - 1)
+    probe = sample_invariant_orbit(spec, noise.feedback, reads, config.burn_in).points
     fx = iterate_map_array(spec, probe)
     return [_cell_task(config, orbit, fx, noise, si, *part) for part in partitions]
 
@@ -158,7 +159,6 @@ def _cell_task(
     try:
         part = Partition(n)
         eps = part.diameter
-        seed = cell_seed(config.seed, si, ei)
 
         seq = encode(orbit, part)
 
@@ -168,8 +168,7 @@ def _cell_task(
         block_rate = block_entropy_rate(seq, _max_block(config, n), config.miller_madow)
         cond_e = conditional_entropy(seq, sel.n0, config.miller_madow)
 
-        # the seed draws only this cell's noise on the sigma's mismatch probe
-        p_hat, p_half = estimate_p(fx, part, replace(noise, seed=seed))
+        p_hat, p_half = estimate_p(fx, seq, part, noise)
         return CurvePoint(
             sigma=noise.sigma,
             eps=eps,
@@ -182,7 +181,7 @@ def _cell_task(
             p_hat=p_hat,
             p_halfwidth=p_half,
             **envelope(sel.deepest, sel.gap, p_hat, eps, eps_n0, noise),
-            cell_seed=seed,
+            cell_seed=cell_seed(config.seed, si, ei),
         )
     except Exception as exc:
         raise RuntimeError(f"grid cell sigma={noise.sigma} n_cells={n} failed: {exc!r}") from exc

@@ -55,6 +55,9 @@ class TestIterateMap:
     def test_doubling(self):
         assert iterate_map(MapSpec("doubling"), 0.3) == pytest.approx(0.6)
         assert iterate_map(MapSpec("doubling"), 0.75) == pytest.approx(0.5)
+        # the right branch takes [1/2, 1] onto [0, 1], as the orbit's window does
+        assert iterate_map(MapSpec("doubling"), 0.5) == 0.0
+        assert iterate_map(MapSpec("doubling"), 1.0) == 1.0
 
     def test_tent(self):
         assert iterate_map(MapSpec("tent"), 0.25) == pytest.approx(0.5)

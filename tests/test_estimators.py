@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epsent.dynamics
-from epsent.dynamics import MapSpec, NoiseSpec, iterate_map_array, sample_invariant_orbit
+from epsent.dynamics import MAP_KINDS, MapSpec, NoiseSpec, iterate_map_array, sample_invariant_orbit
 from epsent.estimators import (
     _entropy_from_counts,
     bernoulli_entropy,
@@ -287,23 +287,27 @@ class TestExactCylinderEntropy:
         assert sel.cond_entropies == pytest.approx(exact, abs=self.TOLERANCE)
 
 
-def probe(spec, noise, samples):
-    """The sweep's mismatch probe: images f(x) of a burned-in orbit driven by
-    the noise's feedback."""
-    orbit = sample_invariant_orbit(spec, noise.feedback, samples, 1000).points
-    return iterate_map_array(spec, orbit)
+def probe(spec, noise, length):
+    """The sweep's mismatch rule on one orbit: the observed orbit of
+    ``length`` points, and the images f(z) of its first length - 1 points'
+    feedback orbit z, built from the same seed."""
+    y = sample_invariant_orbit(spec, noise, length, 1000).points
+    z = sample_invariant_orbit(spec, noise.feedback, length - 1, 1000).points
+    return iterate_map_array(spec, z), y
 
 
-def probe_p(spec, part, noise, samples):
-    return estimate_p(probe(spec, noise, samples), part, noise)
+def probe_p(spec, part, noise, length):
+    fx, y = probe(spec, noise, length)
+    return estimate_p(fx, encode(y, part), part, noise)
 
 
 class TestEstimateP:
     def test_zero_sigma_exact_zero(self):
-        p, hw = probe_p(
-            MapSpec("logistic", 4.0), Partition(2), NoiseSpec(sigma=0.0, mode="dynamical", seed=1), 10_000
-        )
-        assert p == 0.0 and hw == 0.0
+        for kind in MAP_KINDS:
+            for mode in ("dynamical", "output"):
+                noise = NoiseSpec(sigma=0.0, mode=mode, seed=1)
+                p, hw = probe_p(MapSpec(kind), Partition(2), noise, 10_000)
+                assert p == 0.0 and hw == 0.0, (kind, mode)
 
     def test_huge_noise_flips_often(self):
         noise = NoiseSpec(sigma=1.0, mode="dynamical", seed=2)
@@ -334,37 +338,62 @@ class TestEstimateP:
         p, _ = probe_p(MapSpec("logistic", 4.0), Partition(2), noise, 50_000)
         assert 0.0 < p < 0.2
 
+    def test_hand_built_orbit_under_dynamical_noise(self):
+        # doubling map, cells [0, 1/2) and [1/2, 1]; the noise moved
+        # 0.44 = f(0.22) to 0.52, across the cell edge, and nothing else
+        spec, part = MapSpec("doubling"), Partition(2)
+        y = np.array([0.10, 0.22, 0.52, 0.06, 0.10])
+        noise = NoiseSpec(sigma=0.1, mode="dynamical", seed=1)
+        p, hw = estimate_p(iterate_map_array(spec, y[:4]), encode(y, part), part, noise)
+        assert p == 0.25
+        assert hw == pytest.approx(1.96 * math.sqrt(0.25 * 0.75 / 4))
+        # fewer images read fewer transitions: here the first two
+        assert estimate_p(iterate_map_array(spec, y[:2]), encode(y, part), part, noise)[0] == 0.5
+
+    def test_hand_built_orbit_under_output_noise(self):
+        # doubling map, N = 4: the clean orbit z steps 0.1, 0.2, 0.4, 0.8,
+        # 0.6 and the noisy observations y beside it; y[2] and y[4] land in
+        # another cell than f(z[1]) = 0.4 and f(z[3]) = 0.6
+        spec, part = MapSpec("doubling"), Partition(4)
+        z = np.array([0.1, 0.2, 0.4, 0.8])
+        y = np.array([0.12, 0.18, 0.53, 0.77, 0.45])
+        noise = NoiseSpec(sigma=0.1, mode="output", seed=1)
+        p, hw = estimate_p(iterate_map_array(spec, z), encode(y, part), part, noise)
+        assert p == 0.5
+        assert hw == pytest.approx(1.96 * math.sqrt(0.25 / 4))
+
 
 class TestSharedProbe:
-    """One probe serves every cell of a sigma; each cell draws its own noise."""
+    """One probe serves every partition of a sigma, each against its own coding."""
 
     @pytest.fixture
-    def fx(self):
+    def cell(self):
         noise = NoiseSpec(sigma=0.05, mode="dynamical", seed=7)
-        return probe(MapSpec("logistic", 4.0), noise, 20_000)
+        fx, y = probe(MapSpec("logistic", 4.0), noise, 20_000)
+        part = Partition(8)
+        return fx, encode(y, part), part, noise
 
-    def test_cell_seeds_draw_different_noise(self, fx):
-        a = estimate_p(fx, Partition(8), NoiseSpec(sigma=0.05, mode="dynamical", seed=1))
-        b = estimate_p(fx, Partition(8), NoiseSpec(sigma=0.05, mode="dynamical", seed=2))
-        assert a != b
-
-    def test_one_seed_repeats_and_leaves_the_probe_alone(self, fx):
-        before = fx.copy()
-        noise = NoiseSpec(sigma=0.05, mode="dynamical", seed=1)
-        a = estimate_p(fx, Partition(8), noise)
-        b = estimate_p(fx, Partition(8), noise)
+    def test_one_seed_repeats_and_leaves_the_probe_alone(self, cell):
+        fx, seq, part, noise = cell
+        before, symbols = fx.copy(), seq.symbols.copy()
+        a = estimate_p(fx, seq, part, noise)
+        b = estimate_p(fx, seq, part, noise)
         assert a == b
         assert np.array_equal(fx, before)
+        assert np.array_equal(seq.symbols, symbols)
 
-    def test_estimate_builds_no_orbit(self, fx, monkeypatch):
+    def test_estimate_builds_no_orbit(self, cell, monkeypatch):
         def no_orbit(*args, **kwargs):
             raise AssertionError("estimate_p built an orbit")
 
         # every orbit, sample_invariant_orbit's included, comes from generate_orbit
         monkeypatch.setattr(epsent.dynamics, "generate_orbit", no_orbit)
-        estimate_p(fx, Partition(8), NoiseSpec(sigma=0.05, mode="dynamical", seed=1))
+        estimate_p(*cell)
 
-    def test_validation(self, fx):
-        noise = NoiseSpec(sigma=0.05, mode="dynamical", seed=1)
+    def test_validation(self, cell):
+        fx, seq, part, noise = cell
         with pytest.raises(ValueError):
-            estimate_p(fx[:0], Partition(8), noise)
+            estimate_p(fx[:0], seq, part, noise)
+        # each image needs its successor's symbol
+        with pytest.raises(ValueError, match="probe points"):
+            estimate_p(fx, SymbolicSequence(seq.symbols[: len(fx)], 8), part, noise)

@@ -6,15 +6,24 @@ import multiprocessing
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import epsent.sweep
 from epsent.cli import dispatch
 from epsent.config import RunConfig
-from epsent.dynamics import MapSpec, NoiseSpec, sample_invariant_orbit
+from epsent.dynamics import (
+    MAP_KINDS,
+    MapSpec,
+    NoiseSpec,
+    apply_boundary_array,
+    iterate_map_array,
+    sample_invariant_orbit,
+    sample_noise,
+)
 from epsent.estimators import choose_n0, default_max_block
 from epsent.partition import Partition, encode, refine_cylinders
-from epsent.seeds import companion_seed, orbit_seed, probe_seed
+from epsent.seeds import companion_seed, orbit_seed
 from epsent.sweep import (
     CSV_COLUMNS,
     companion_stats,
@@ -39,9 +48,9 @@ TENT_SMALL = dataclasses.replace(SMALL, map="tent", noise_mode="output", algorit
 # each other, so only these catch a byte drift that every run shares; a
 # change that moves them changes the sweep's output and must say why.
 CSV_SHA256 = {
-    "logistic": "40c9b70071d228e13686cc1035ae2b1e6e369f38a1b4614882024f41d57930d8",
-    "tent": "000da354cba534abda94476cfabd28a7769f9c3e3480f39715cefc0a4e94d931",
-    "headline": "380e83efb28e3c07b0a20f56d70dfdb3ea12dd9ce3c51b64793b5eba329e7970",
+    "logistic": "44a5aca654e26fab8bf12b8d039f9b6a2e8b64f7b99ca5e7c216d9198b7d785e",
+    "tent": "9101fd134f6c6fcf8401a4cb5cee92545d0f3424c27a68f5084e5dfda7d3966c",
+    "headline": "c0802fdf8ba97d433676a2229938b0e45ba7ba9adf0a89612c08746f15f81dfd",
 }
 # sha256 of the headline grid's gnuplot data, written from the same cells
 HEADLINE_PLOT_SHA256 = "b3020b0942e891aca478b3c1e5cafbc392f70669ece74685e81efddf52beef6f"
@@ -302,16 +311,24 @@ class TestRunGrid:
         assert plot_text.startswith("# sigma = 0\n")
 
 
+def probe_reads(config):
+    """Points of each sigma's probe orbit: one per transition read."""
+    return min(config.p_samples, config.length - 1)
+
+
 def sigma_builds(config, si):
-    """(seed, length, burn_in) of sigma ``si``'s orbit and of its probe's orbit."""
+    """(seed, length, burn_in) of sigma ``si``'s orbit and of its probe's
+    orbit, which shares the orbit's seed."""
+    seed = orbit_seed(config.seed, si)
     return [
-        (orbit_seed(config.seed, si), config.length, config.burn_in),
-        (probe_seed(config.seed, si), config.p_samples, config.burn_in),
+        (seed, config.length, config.burn_in),
+        (seed, probe_reads(config), config.burn_in),
     ]
 
 
 class TestSharedOrbit:
-    """Every orbit a sweep draws, the probes' included, goes through one name."""
+    """Every orbit a sweep draws, the probes' included, goes through one name;
+    a probe shares its sigma's seed."""
 
     def test_one_orbit_per_sigma(self, monkeypatch):
         calls = []
@@ -327,6 +344,22 @@ class TestSharedOrbit:
         assert calls == [(companion_seed(config.seed), config.length, config.burn_in)] + [
             build for si in range(len(config.sigma)) for build in sigma_builds(config, si)
         ]
+
+    @pytest.mark.parametrize("p_samples", [2000, 5000])
+    def test_probe_reads_at_most_length_minus_one(self, monkeypatch, p_samples):
+        lengths = []
+        generate = epsent.sweep.sample_invariant_orbit
+
+        def recording(spec, noise, length, burn_in=1000):
+            lengths.append(length)
+            return generate(spec, noise, length, burn_in)
+
+        monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording)
+        config = RunConfig(sigma=(0.1,), n_list=(2, 4), length=2000, p_samples=p_samples)
+        cells = run_grid(config)
+        assert lengths == [2000, 2000, 1999]
+        for p in cells:
+            assert p.p_halfwidth == pytest.approx(1.96 * math.sqrt(p.p_hat * (1 - p.p_hat) / 1999))
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -357,18 +390,23 @@ class TestSharedOrbit:
         }
 
 
+def sigma_noise(config, si):
+    """The noise of sigma ``si``'s orbit, seeded by its orbit seed."""
+    return NoiseSpec(
+        sigma=config.sigma[si], mode=config.noise_mode, boundary=config.boundary,
+        seed=orbit_seed(config.seed, si),
+    )
+
+
 def probe_points(config, si):
     """The orbit points whose images are sigma ``si``'s mismatch probe."""
-    noise = NoiseSpec(
-        sigma=config.sigma[si], mode=config.noise_mode, boundary=config.boundary,
-        seed=probe_seed(config.seed, si),
-    )
     spec = MapSpec(config.map, config.lam)
-    return sample_invariant_orbit(spec, noise.feedback, config.p_samples, config.burn_in).points
+    noise = sigma_noise(config, si).feedback
+    return sample_invariant_orbit(spec, noise, probe_reads(config), config.burn_in).points
 
 
 class TestSharedProbe:
-    """Each sigma maps one probe orbit, and only its own, to the images f(x)."""
+    """Each sigma maps one probe orbit, and only its own, to the images f(z)."""
 
     def test_one_probe_per_sigma(self, monkeypatch):
         builds, mapped = {}, []
@@ -391,15 +429,8 @@ class TestSharedProbe:
             mapped.clear()
             run_grid(config)
             assert mapped == [
-                (
-                    NoiseSpec(
-                        sigma=sigma, mode=config.noise_mode, boundary=config.boundary,
-                        seed=probe_seed(config.seed, si),
-                    ).feedback,
-                    config.p_samples,
-                    config.burn_in,
-                )
-                for si, sigma in enumerate(config.sigma)
+                (sigma_noise(config, si).feedback, probe_reads(config), config.burn_in)
+                for si in range(len(config.sigma))
             ]
 
     @pytest.mark.skipif(
@@ -424,6 +455,42 @@ class TestSharedProbe:
             hashlib.sha256(probe_points(config, si).tobytes()).hexdigest(): slices
             for si in range(len(config.sigma))
         }
+
+    @pytest.mark.parametrize("mode", ["dynamical", "output"])
+    @pytest.mark.parametrize("boundary", ["clamp", "reflect"])
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_probe_is_the_observed_prefix_or_the_clean_orbit(self, monkeypatch, kind, boundary, mode):
+        builds = []
+        generate = epsent.sweep.sample_invariant_orbit
+
+        def recording(spec, noise, length, burn_in=1000):
+            orbit = generate(spec, noise, length, burn_in)
+            builds.append(orbit.points)
+            return orbit
+
+        monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording)
+        config = RunConfig(
+            map=kind, noise_mode=mode, boundary=boundary, sigma=(0.5, 0.01, 0.001),
+            n_list=(2, 8), length=3000, p_samples=1000, burn_in=100,
+        )
+        run_grid(config)
+        spec, reads, part = MapSpec(kind), probe_reads(config), Partition(8)
+        # the companion's orbit, then each sigma's observed orbit y and its probe z
+        assert len(builds) == 1 + 2 * len(config.sigma)
+        for si, (y, z) in enumerate(zip(builds[1::2], builds[2::2])):
+            if mode == "dynamical":
+                assert np.array_equal(z, y[:reads])
+                continue
+            noise = sigma_noise(config, si)
+            clean = generate(spec, noise.feedback, config.length, config.burn_in).points
+            w = sample_noise(noise, config.burn_in + config.length)[config.burn_in :]
+            assert np.array_equal(y, apply_boundary_array(clean + w, boundary))
+            assert np.array_equal(z, clean[:reads])
+            # so each image's cell is the clean orbit's next cell
+            assert np.array_equal(
+                encode(iterate_map_array(spec, z), part).symbols,
+                encode(clean[1 : reads + 1], part).symbols,
+            )
 
 
 class TestWorkerPool:
