@@ -164,7 +164,7 @@ def estimate_p(
     none p is exactly 0.  The half-width 1.96 sqrt(p(1 - p) / n) treats the
     transitions along one orbit as independent.  On the five grids of
     SCIENCE.json it agreed with an independent Monte Carlo within 2 combined
-    standard errors in 55-59 of 60 cells per grid, the largest gap 2.97.
+    standard errors in 55-59 of 60 cells per grid, with a largest gap of 2.97.
     """
     reads = len(fx)
     if not 0 < reads < len(seq):
