@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable
 
@@ -82,19 +82,15 @@ class NoiseSpec:
         """sigma == 0 behaves exactly like mode 'none' regardless of mode."""
         return "none" if self.sigma == 0.0 else self.mode
 
-    @property
-    def feedback(self) -> NoiseSpec:
-        """The share of this noise that enters the recurrence: all of it in
-        dynamical mode, none in output mode, where it never feeds back."""
-        return self if self.mode == "dynamical" else replace(self, sigma=0.0, mode="none")
-
 
 @dataclass
 class RealOrbit:
-    """The return of :func:`sample_invariant_orbit`, its one constructor, kept
-    only because ``perfbench/tracing.py`` reads ``.points`` off it."""
+    """An orbit's emitted points and the internal states x_n beneath them: one
+    array unless the noise acts on the output only, where the states are the
+    clean orbit.  A sweep reads its mismatch probe off the first states."""
 
     points: np.ndarray
+    states: np.ndarray
 
 
 def iterate_map_array(spec: MapSpec, x: np.ndarray) -> np.ndarray:
@@ -156,6 +152,14 @@ def apply_boundary_array(y: np.ndarray, policy: str) -> np.ndarray:
     return out
 
 
+def _fold(x: float, clamp: bool) -> float:
+    """One point outside [0,1], folded back as :func:`apply_boundary_array` does."""
+    if clamp:
+        return 0.0 if x < 0.0 else 1.0
+    x %= 2.0
+    return 2.0 - x if x > 1.0 else x
+
+
 def _lazy_bits(noise: NoiseSpec, count: int) -> np.ndarray:
     rng = np.random.default_rng(mix(noise.seed, BITS_STREAM))
     return rng.integers(0, 2, size=count, dtype=np.uint8)
@@ -203,7 +207,12 @@ def _window_orbit(kind: str, state0: int, bits: np.ndarray) -> np.ndarray:
 
 
 def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> np.ndarray:
-    """The ``length`` points of the orbit starting from ``x0``.
+    """The ``length`` points of the orbit starting from ``x0`` (see :func:`_orbit`)."""
+    return _orbit(spec, x0, length, noise).points
+
+
+def _orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> RealOrbit:
+    """The ``length`` points and states x_n of the orbit starting from ``x0``.
 
     mode 'none':      x_{n+1} = f(x_n), emits x_n.
     mode 'output':    internal orbit unperturbed, emits policy(x_n + w_n).
@@ -231,19 +240,14 @@ def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> n
         for wn in steps:
             x = lam * x * (1.0 - x) + wn
             if not 0.0 <= x <= 1.0:
-                if clamp:
-                    x = 0.0 if x < 0.0 else 1.0
-                else:
-                    x %= 2.0
-                    if x > 1.0:
-                        x = 2.0 - x
+                x = _fold(x, clamp)
             append(x)
-        points = np.frombuffer(acc, dtype=np.float64)
+        states = np.frombuffer(acc, dtype=np.float64)
     else:
         bits = _lazy_bits(noise, length)[:-1]
         state = min(int(x0 * _SCALE64), _MASK64)
         if mode != "dynamical":
-            points = _window_orbit(spec.kind, state, bits)
+            states = _window_orbit(spec.kind, state, bits)
         else:
             # one exact shift step, then the noise re-quantizes the window
             tent = spec.kind == "tent"
@@ -255,19 +259,14 @@ def generate_orbit(spec: MapSpec, x0: float, length: int, noise: NoiseSpec) -> n
                     state = _MASK64 - state
                 y = state / _SCALE64 + wn
                 if not 0.0 <= y <= 1.0:
-                    if clamp:
-                        y = 0.0 if y < 0.0 else 1.0
-                    else:
-                        y %= 2.0
-                        if y > 1.0:
-                            y = 2.0 - y
+                    y = _fold(y, clamp)
                 state = min(int(y * _SCALE64), _MASK64)
             append(state / _SCALE64)
-            points = np.frombuffer(acc, dtype=np.float64)
+            states = np.frombuffer(acc, dtype=np.float64)
 
     if mode == "output":
-        points = apply_boundary_array(points + w, noise.boundary)
-    return points
+        return RealOrbit(apply_boundary_array(states + w, noise.boundary), states)
+    return RealOrbit(states, states)
 
 
 def sample_invariant_orbit(
@@ -279,7 +278,8 @@ def sample_invariant_orbit(
     """Orbit whose start is relaxed onto the (empirical) invariant measure.
 
     Draws x0 from the seed's init stream, runs ``burn_in`` discarded iterates
-    under the same noise action, then emits ``length`` points.
+    under the same noise action, then emits ``length`` points, returned with
+    their states.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -287,7 +287,8 @@ def sample_invariant_orbit(
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(mix(noise.seed, INIT_STREAM))
     x0 = float(rng.uniform(0.0, 1.0))
-    return RealOrbit(points=generate_orbit(spec, x0, burn_in + length, noise)[burn_in:])
+    orbit = _orbit(spec, x0, burn_in + length, noise)
+    return RealOrbit(orbit.points[burn_in:], orbit.states[burn_in:])
 
 
 def dump_orbit(points: np.ndarray, path: str) -> None:

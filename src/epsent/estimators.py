@@ -13,7 +13,7 @@ each depth's counts in lexicographic word order.
 
 The one-step mismatch probability p that the bounds take is read by
 :func:`estimate_p` off the transitions of the orbit the cell observes,
-against the probe images f(z) that the sweep builds once per sigma.
+against the images f(z) of that orbit's first states z.
 """
 
 from __future__ import annotations
@@ -151,20 +151,18 @@ def choose_n0(
     return DepthSelection(n0, abs(ces[n0 - 1] - target), n0 < depth, depth, tuple(ces))
 
 
-def estimate_p(
-    fx: np.ndarray, seq: SymbolicSequence, partition: Partition, noise: NoiseSpec
-) -> tuple[float, float]:
+def estimate_p(fx: np.ndarray, seq: SymbolicSequence, noise: NoiseSpec) -> tuple[float, float]:
     """One-step cell-mismatch probability read off the orbit, and its 95% half-width.
 
-    ``seq`` is ``partition``'s coding of the observed orbit y, and ``fx`` the
-    images f(z[t]) of the first n points of the orbit z that ``noise.feedback``
-    drives from y's seed: y itself under dynamical noise, the clean orbit
-    beneath y under output noise.  p is the share of t < n in which
-    cell(f(z[t])) differs from y[t+1]'s symbol; no noise is drawn, and with
-    none p is exactly 0.  The half-width 1.96 sqrt(p(1 - p) / n) treats the
-    transitions along one orbit as independent.  On the five grids of
-    SCIENCE.json it agreed with an independent Monte Carlo within 2 combined
-    standard errors in 55-59 of 60 cells per grid, with a largest gap of 2.97.
+    ``seq`` is the observed orbit y coded on the uniform partition of its own
+    alphabet, and ``fx`` the images f(z[t]) of y's first n states z: y
+    itself under dynamical noise, the clean orbit beneath y under output
+    noise.  p is the share of t < n in which cell(f(z[t])) differs from
+    y[t+1]'s symbol; no noise is drawn, and with none p is exactly 0.  The
+    half-width 1.96 sqrt(p(1 - p) / n) treats the transitions along one
+    orbit as independent.  On the five grids of SCIENCE.json it agreed with
+    an independent Monte Carlo within 2 combined standard errors in 55-59 of
+    60 cells per grid, with a largest gap of 2.97.
     """
     reads = len(fx)
     if not 0 < reads < len(seq):
@@ -172,6 +170,7 @@ def estimate_p(
     if noise.effective_mode == "none":
         return 0.0, 0.0
 
-    p_hat = float(np.mean(encode(fx, partition).symbols != seq.symbols[1 : reads + 1]))
+    images = encode(fx, Partition(seq.alphabet_size)).symbols
+    p_hat = float(np.mean(images != seq.symbols[1 : reads + 1]))
     halfwidth = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / reads)
     return p_hat, halfwidth

@@ -52,8 +52,8 @@ def cell_seed(master_seed: int, sigma_index: int, eps_index: int) -> int:
 
 
 def orbit_seed(master_seed: int, sigma_index: int) -> int:
-    """Seed for the noisy orbit that every partition of one sigma observes,
-    and for its mismatch probe."""
+    """Seed for the noisy orbit that every partition of one sigma observes;
+    its first states are the mismatch probe."""
     return mix(master_seed, ORBIT_STREAM, sigma_index)
 
 

@@ -105,11 +105,10 @@ def mismatch_probability() -> None:
     spec, part = MapSpec("logistic", 4.0), Partition(2)
 
     def p_hat(noise: NoiseSpec, length: int) -> float:
-        # as in a sweep: the observed orbit's coding, and the images of the
-        # orbit its noise's feedback drives from the same seed
-        y = dynamics.sample_invariant_orbit(spec, noise, length).points
-        z = dynamics.sample_invariant_orbit(spec, noise.feedback, length - 1).points
-        return estimators.estimate_p(iterate_map_array(spec, z), encode(y, part), part, noise)[0]
+        # as in a sweep: the observed orbit's coding, and the images of its states
+        orbit = dynamics.sample_invariant_orbit(spec, noise, length)
+        fx = iterate_map_array(spec, orbit.states[:-1])
+        return estimators.estimate_p(fx, encode(orbit.points, part), noise)[0]
 
     _expect(p_hat(NoiseSpec(sigma=0.0, mode="dynamical", seed=5), 10_000) == 0.0)
     p1 = p_hat(NoiseSpec(sigma=1.0, mode="dynamical", seed=5), 50_000)

@@ -4,18 +4,18 @@ Each sigma of the grid generates one noisy orbit, and every partition of the
 grid observes that same orbit: each grid cell codes it symbolically and
 measures its compression rate, block-entropy rate and conditional entropy,
 alongside the one-step mismatch probability and the analytic bounds.  The
-mismatch probe (the images f(z) of the orbit z that the noise's feedback
-drives from the observed orbit's seed: that orbit itself under dynamical
-noise, the clean orbit beneath it under output noise) is likewise built once
-per sigma and shared by its partitions.  The orbit and the probe are seeded
-by (master seed, sigma index) on the sorted grid, so results are independent
-of execution order and worker count; re-running a sweep reproduces the
-output byte for byte.  ``cell_seed`` is a row id and seeds no draw.
+mismatch probe is the images f(z) of the orbit's first states z: the
+observed points themselves under dynamical noise, the clean orbit beneath
+them under output noise.  It is mapped once per sigma and shared by its
+partitions.  The orbit is seeded by (master seed, sigma index) on the sorted
+grid, so results are independent of execution order and worker count;
+re-running a sweep reproduces the output byte for byte.  ``cell_seed`` is a
+row id and seeds no draw.
 
 The work goes out as orbit tasks: each sigma's partitions are split into
 k = min(workers, partitions) strided slices, and a task builds its sigma's
-orbit and probe, observes them with every partition of its slice and frees
-them on return.  So each sigma's orbit and probe are built k times, once on
+orbit, maps its probe, observes both with every partition of its slice and
+frees them on return.  So each sigma's orbit is built k times, once on
 1 worker.
 
 The noise-free quantities the bounds need (entropy proxy, convergence depth,
@@ -139,17 +139,17 @@ def _orbit_task(
     """Build grid sigma ``si``'s noisy orbit and mismatch probe and observe
     them with each partition of its slice, given as sorted index ``ei``, cell
     count ``n`` and companion pair; both die with the task.  The probe is
-    the images f(z) of the first ``p_samples`` points (at most length - 1)
-    of the orbit that the noise's feedback drives from the same seed."""
+    the images f(z) of the orbit's first ``p_samples`` states z (at most
+    length - 1); the states are dropped once it is mapped."""
     config, si, sigma, partitions = args
     seed = orbit_seed(config.seed, si)
     noise = NoiseSpec(sigma=sigma, mode=config.noise_mode, boundary=config.boundary, seed=seed)
     spec = MapSpec(config.map, config.lam)
-    orbit = sample_invariant_orbit(spec, noise, config.length, config.burn_in).points
-    reads = min(config.p_samples, config.length - 1)
-    probe = sample_invariant_orbit(spec, noise.feedback, reads, config.burn_in).points
-    fx = iterate_map_array(spec, probe)
-    return [_cell_task(config, orbit, fx, noise, si, *part) for part in partitions]
+    orbit = sample_invariant_orbit(spec, noise, config.length, config.burn_in)
+    fx = iterate_map_array(spec, orbit.states[: min(config.p_samples, config.length - 1)])
+    points = orbit.points
+    del orbit  # under output noise the states are a second full-length array
+    return [_cell_task(config, points, fx, noise, si, *part) for part in partitions]
 
 
 def _cell_task(
@@ -168,7 +168,7 @@ def _cell_task(
         block_rate = block_entropy_rate(seq, _max_block(config, n), config.miller_madow)
         cond_e = conditional_entropy(seq, sel.n0, config.miller_madow)
 
-        p_hat, p_half = estimate_p(fx, seq, part, noise)
+        p_hat, p_half = estimate_p(fx, seq, noise)
         return CurvePoint(
             sigma=noise.sigma,
             eps=eps,

@@ -332,10 +332,10 @@ class TestSweepCommand:
     def test_failing_cell_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
         estimate_p = sweep.estimate_p
 
-        def fails_at_four_cells(fx, seq, part, noise):
-            if part.n_cells == 4:
+        def fails_at_four_cells(fx, seq, noise):
+            if seq.alphabet_size == 4:
                 raise ValueError("injected")
-            return estimate_p(fx, seq, part, noise)
+            return estimate_p(fx, seq, noise)
 
         monkeypatch.setattr(sweep, "estimate_p", fails_at_four_cells)
         csv_path = tmp_path / "out.csv"

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from epsent.dynamics import (
+    MAP_KINDS,
     MapSpec,
     NoiseSpec,
     _lazy_bits,
@@ -202,14 +204,6 @@ class TestGenerateOrbit:
             tracemalloc.stop()
         assert peak <= 24 * length, f"{peak / length:.1f} bytes per step"
 
-    @pytest.mark.parametrize("mode", ["none", "output", "dynamical"])
-    def test_feedback_keeps_only_dynamical_noise(self, mode):
-        noise = NoiseSpec(sigma=0.1, mode=mode, boundary="clamp", seed=9)
-        feedback = noise.feedback
-        fed = mode == "dynamical"
-        assert (feedback.sigma, feedback.effective_mode) == ((0.1, mode) if fed else (0.0, "none"))
-        assert (feedback.boundary, feedback.seed) == ("clamp", 9)
-
 
 def stepped_shift_orbit(kind: str, x0: float, length: int, noise: NoiseSpec) -> np.ndarray:
     """Reference doubling/tent orbit: one :func:`_shift_state` call per step.
@@ -327,6 +321,23 @@ class TestSampleInvariantOrbit:
         assert len(orbit.points) == 1000
         full = generate_orbit(spec, _seeded_x0(noise), 1050, noise)
         assert np.array_equal(orbit.points, full[50:])
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    @pytest.mark.parametrize("mode", ["none", "output", "dynamical"])
+    def test_states_are_the_points_or_the_clean_orbit(self, mode, kind):
+        spec, length, burn_in = MapSpec(kind), 2000, 50
+        noise = NoiseSpec(sigma=0.1, mode=mode, boundary="clamp", seed=9)
+        orbit = sample_invariant_orbit(spec, noise, length, burn_in)
+        if mode != "output":
+            # the states are the points, in the same memory
+            assert np.shares_memory(orbit.states, orbit.points)
+            assert np.array_equal(orbit.states, orbit.points)
+            return
+        clean = sample_invariant_orbit(spec, replace(noise, sigma=0.0, mode="none"), length, burn_in)
+        assert np.array_equal(orbit.states, clean.points)
+        w = sample_noise(noise, burn_in + length)[burn_in:]
+        assert np.array_equal(orbit.points, apply_boundary_array(orbit.states + w, "clamp"))
+        assert not np.array_equal(orbit.points, orbit.states)
 
     @pytest.mark.parametrize("length", [0, -5])
     def test_rejects_empty_orbit(self, length):

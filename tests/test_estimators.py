@@ -289,16 +289,14 @@ class TestExactCylinderEntropy:
 
 def probe(spec, noise, length):
     """The sweep's mismatch rule on one orbit: the observed orbit of
-    ``length`` points, and the images f(z) of its first length - 1 points'
-    feedback orbit z, built from the same seed."""
-    y = sample_invariant_orbit(spec, noise, length, 1000).points
-    z = sample_invariant_orbit(spec, noise.feedback, length - 1, 1000).points
-    return iterate_map_array(spec, z), y
+    ``length`` points, and the images f(z) of its first length - 1 states z."""
+    orbit = sample_invariant_orbit(spec, noise, length, 1000)
+    return iterate_map_array(spec, orbit.states[:-1]), orbit.points
 
 
 def probe_p(spec, part, noise, length):
     fx, y = probe(spec, noise, length)
-    return estimate_p(fx, encode(y, part), part, noise)
+    return estimate_p(fx, encode(y, part), noise)
 
 
 class TestEstimateP:
@@ -338,17 +336,28 @@ class TestEstimateP:
         p, _ = probe_p(MapSpec("logistic", 4.0), Partition(2), noise, 50_000)
         assert 0.0 < p < 0.2
 
+    def test_cells_come_from_the_sequence_alphabet(self):
+        # one probe read against two codings of y: each compares the images'
+        # cells on its own alphabet (crossed, both read p ~ 0.99)
+        noise = NoiseSpec(sigma=0.01, mode="dynamical", seed=8)
+        fx, y = probe(MapSpec("logistic", 4.0), noise, 20_000)
+        for n in (8, 250):
+            seq = encode(y, Partition(n))
+            p, _ = estimate_p(fx, seq, noise)
+            assert p == float(np.mean(encode(fx, Partition(n)).symbols != seq.symbols[1:]))
+            assert p < (0.1 if n == 8 else 0.9)
+
     def test_hand_built_orbit_under_dynamical_noise(self):
         # doubling map, cells [0, 1/2) and [1/2, 1]; the noise moved
         # 0.44 = f(0.22) to 0.52, across the cell edge, and nothing else
         spec, part = MapSpec("doubling"), Partition(2)
         y = np.array([0.10, 0.22, 0.52, 0.06, 0.10])
         noise = NoiseSpec(sigma=0.1, mode="dynamical", seed=1)
-        p, hw = estimate_p(iterate_map_array(spec, y[:4]), encode(y, part), part, noise)
+        p, hw = estimate_p(iterate_map_array(spec, y[:4]), encode(y, part), noise)
         assert p == 0.25
         assert hw == pytest.approx(1.96 * math.sqrt(0.25 * 0.75 / 4))
         # fewer images read fewer transitions: here the first two
-        assert estimate_p(iterate_map_array(spec, y[:2]), encode(y, part), part, noise)[0] == 0.5
+        assert estimate_p(iterate_map_array(spec, y[:2]), encode(y, part), noise)[0] == 0.5
 
     def test_hand_built_orbit_under_output_noise(self):
         # doubling map, N = 4: the clean orbit z steps 0.1, 0.2, 0.4, 0.8,
@@ -358,7 +367,7 @@ class TestEstimateP:
         z = np.array([0.1, 0.2, 0.4, 0.8])
         y = np.array([0.12, 0.18, 0.53, 0.77, 0.45])
         noise = NoiseSpec(sigma=0.1, mode="output", seed=1)
-        p, hw = estimate_p(iterate_map_array(spec, z), encode(y, part), part, noise)
+        p, hw = estimate_p(iterate_map_array(spec, z), encode(y, part), noise)
         assert p == 0.5
         assert hw == pytest.approx(1.96 * math.sqrt(0.25 / 4))
 
@@ -370,14 +379,13 @@ class TestSharedProbe:
     def cell(self):
         noise = NoiseSpec(sigma=0.05, mode="dynamical", seed=7)
         fx, y = probe(MapSpec("logistic", 4.0), noise, 20_000)
-        part = Partition(8)
-        return fx, encode(y, part), part, noise
+        return fx, encode(y, Partition(8)), noise
 
     def test_one_seed_repeats_and_leaves_the_probe_alone(self, cell):
-        fx, seq, part, noise = cell
+        fx, seq, noise = cell
         before, symbols = fx.copy(), seq.symbols.copy()
-        a = estimate_p(fx, seq, part, noise)
-        b = estimate_p(fx, seq, part, noise)
+        a = estimate_p(fx, seq, noise)
+        b = estimate_p(fx, seq, noise)
         assert a == b
         assert np.array_equal(fx, before)
         assert np.array_equal(seq.symbols, symbols)
@@ -386,14 +394,14 @@ class TestSharedProbe:
         def no_orbit(*args, **kwargs):
             raise AssertionError("estimate_p built an orbit")
 
-        # every orbit, sample_invariant_orbit's included, comes from generate_orbit
-        monkeypatch.setattr(epsent.dynamics, "generate_orbit", no_orbit)
+        # every orbit, generate_orbit's and sample_invariant_orbit's, comes from _orbit
+        monkeypatch.setattr(epsent.dynamics, "_orbit", no_orbit)
         estimate_p(*cell)
 
     def test_validation(self, cell):
-        fx, seq, part, noise = cell
+        fx, seq, noise = cell
         with pytest.raises(ValueError):
-            estimate_p(fx[:0], seq, part, noise)
+            estimate_p(fx[:0], seq, noise)
         # each image needs its successor's symbol
         with pytest.raises(ValueError, match="probe points"):
-            estimate_p(fx, SymbolicSequence(seq.symbols[: len(fx)], 8), part, noise)
+            estimate_p(fx, SymbolicSequence(seq.symbols[: len(fx)], 8), noise)

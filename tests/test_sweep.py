@@ -4,6 +4,7 @@ import hashlib
 import math
 import multiprocessing
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -312,23 +313,18 @@ class TestRunGrid:
 
 
 def probe_reads(config):
-    """Points of each sigma's probe orbit: one per transition read."""
+    """States of each sigma's orbit that its probe maps: one per transition read."""
     return min(config.p_samples, config.length - 1)
 
 
-def sigma_builds(config, si):
-    """(seed, length, burn_in) of sigma ``si``'s orbit and of its probe's
-    orbit, which shares the orbit's seed."""
-    seed = orbit_seed(config.seed, si)
-    return [
-        (seed, config.length, config.burn_in),
-        (seed, probe_reads(config), config.burn_in),
-    ]
+def sigma_build(config, si):
+    """(seed, length, burn_in) of sigma ``si``'s one orbit."""
+    return (orbit_seed(config.seed, si), config.length, config.burn_in)
 
 
 class TestSharedOrbit:
-    """Every orbit a sweep draws, the probes' included, goes through one name;
-    a probe shares its sigma's seed."""
+    """Every orbit a sweep draws goes through one name, once per sigma and
+    slice; the probe is read off that orbit."""
 
     def test_one_orbit_per_sigma(self, monkeypatch):
         calls = []
@@ -342,22 +338,27 @@ class TestSharedOrbit:
         config = dataclasses.replace(SMALL, burn_in=700)
         run_grid(config)
         assert calls == [(companion_seed(config.seed), config.length, config.burn_in)] + [
-            build for si in range(len(config.sigma)) for build in sigma_builds(config, si)
+            sigma_build(config, si) for si in range(len(config.sigma))
         ]
 
     @pytest.mark.parametrize("p_samples", [2000, 5000])
     def test_probe_reads_at_most_length_minus_one(self, monkeypatch, p_samples):
-        lengths = []
-        generate = epsent.sweep.sample_invariant_orbit
+        lengths, reads = [], []
+        generate, iterate = epsent.sweep.sample_invariant_orbit, epsent.sweep.iterate_map_array
 
         def recording(spec, noise, length, burn_in=1000):
             lengths.append(length)
             return generate(spec, noise, length, burn_in)
 
+        def recording_map(spec, x):
+            reads.append(len(x))
+            return iterate(spec, x)
+
         monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording)
+        monkeypatch.setattr(epsent.sweep, "iterate_map_array", recording_map)
         config = RunConfig(sigma=(0.1,), n_list=(2, 4), length=2000, p_samples=p_samples)
         cells = run_grid(config)
-        assert lengths == [2000, 2000, 1999]
+        assert (lengths, reads) == ([2000, 2000], [1999])
         for p in cells:
             assert p.p_halfwidth == pytest.approx(1.96 * math.sqrt(p.p_hat * (1 - p.p_hat) / 1999))
 
@@ -382,11 +383,7 @@ class TestSharedOrbit:
         builds = Counter(tuple(map(int, line.split())) for line in log.read_text().splitlines())
         assert builds == {
             (companion_seed(config.seed), config.length, config.burn_in): 1,
-            **{
-                build: slices
-                for si in range(len(config.sigma))
-                for build in sigma_builds(config, si)
-            },
+            **{sigma_build(config, si): slices for si in range(len(config.sigma))},
         }
 
 
@@ -399,39 +396,62 @@ def sigma_noise(config, si):
 
 
 def probe_points(config, si):
-    """The orbit points whose images are sigma ``si``'s mismatch probe."""
+    """The orbit states whose images are sigma ``si``'s mismatch probe."""
     spec = MapSpec(config.map, config.lam)
-    noise = sigma_noise(config, si).feedback
-    return sample_invariant_orbit(spec, noise, probe_reads(config), config.burn_in).points
+    orbit = sample_invariant_orbit(spec, sigma_noise(config, si), config.length, config.burn_in)
+    return orbit.states[: probe_reads(config)]
 
 
 class TestSharedProbe:
-    """Each sigma maps one probe orbit, and only its own, to the images f(z)."""
+    """Each sigma maps the first states of its own orbit, and nothing else,
+    to the images f(z)."""
 
     def test_one_probe_per_sigma(self, monkeypatch):
-        builds, mapped = {}, []
+        builds, mapped = [], []
         generate, iterate = epsent.sweep.sample_invariant_orbit, epsent.sweep.iterate_map_array
 
         def recording_build(spec, noise, length, burn_in=1000):
             orbit = generate(spec, noise, length, burn_in)
-            builds[id(orbit.points)] = (noise, length, burn_in)
+            builds.append((noise, orbit))
             return orbit
 
         def recording_map(spec, x):
-            mapped.append(builds[id(x)])
+            # the build whose states x is the start of; kept builds stay allocated
+            (noise,) = [
+                noise for noise, orbit in builds
+                if np.shares_memory(x, orbit.states) and np.array_equal(x, orbit.states[: len(x)])
+            ]
+            mapped.append((noise, len(x)))
             return iterate(spec, x)
 
         monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording_build)
         monkeypatch.setattr(epsent.sweep, "iterate_map_array", recording_map)
-        # the probe takes all of dynamical noise and none of output noise
         for config in (SMALL, TENT_SMALL):
             config = dataclasses.replace(config, burn_in=700)
             mapped.clear()
             run_grid(config)
             assert mapped == [
-                (sigma_noise(config, si).feedback, probe_reads(config), config.burn_in)
-                for si in range(len(config.sigma))
+                (sigma_noise(config, si), probe_reads(config)) for si in range(len(config.sigma))
             ]
+
+    def test_output_states_die_before_the_cells(self, monkeypatch):
+        # under output noise the states are a second full-length array
+        states, alive = [], []
+        generate, cell = epsent.sweep.sample_invariant_orbit, epsent.sweep._cell_task
+
+        def recording_build(spec, noise, length, burn_in=1000):
+            orbit = generate(spec, noise, length, burn_in)
+            states.append(weakref.ref(orbit.states.base))
+            return orbit
+
+        def recording_cell(*args):
+            alive.append(states[-1]() is not None)
+            return cell(*args)
+
+        monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording_build)
+        monkeypatch.setattr(epsent.sweep, "_cell_task", recording_cell)
+        run_grid(TENT_SMALL)
+        assert alive == [False] * len(TENT_SMALL.sigma) * len(TENT_SMALL.n_list)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -460,29 +480,35 @@ class TestSharedProbe:
     @pytest.mark.parametrize("boundary", ["clamp", "reflect"])
     @pytest.mark.parametrize("kind", MAP_KINDS)
     def test_probe_is_the_observed_prefix_or_the_clean_orbit(self, monkeypatch, kind, boundary, mode):
-        builds = []
-        generate = epsent.sweep.sample_invariant_orbit
+        builds, probes = [], []
+        generate, iterate = epsent.sweep.sample_invariant_orbit, epsent.sweep.iterate_map_array
 
         def recording(spec, noise, length, burn_in=1000):
             orbit = generate(spec, noise, length, burn_in)
             builds.append(orbit.points)
             return orbit
 
+        def recording_map(spec, x):
+            probes.append(x)
+            return iterate(spec, x)
+
         monkeypatch.setattr(epsent.sweep, "sample_invariant_orbit", recording)
+        monkeypatch.setattr(epsent.sweep, "iterate_map_array", recording_map)
         config = RunConfig(
             map=kind, noise_mode=mode, boundary=boundary, sigma=(0.5, 0.01, 0.001),
             n_list=(2, 8), length=3000, p_samples=1000, burn_in=100,
         )
         run_grid(config)
         spec, reads, part = MapSpec(kind), probe_reads(config), Partition(8)
-        # the companion's orbit, then each sigma's observed orbit y and its probe z
-        assert len(builds) == 1 + 2 * len(config.sigma)
-        for si, (y, z) in enumerate(zip(builds[1::2], builds[2::2])):
+        # the companion's orbit, then each sigma's observed orbit y; its probe z
+        assert (len(builds), len(probes)) == (1 + len(config.sigma), len(config.sigma))
+        for si, (y, z) in enumerate(zip(builds[1:], probes)):
             if mode == "dynamical":
                 assert np.array_equal(z, y[:reads])
                 continue
             noise = sigma_noise(config, si)
-            clean = generate(spec, noise.feedback, config.length, config.burn_in).points
+            quiet = dataclasses.replace(noise, sigma=0.0, mode="none")
+            clean = generate(spec, quiet, config.length, config.burn_in).points
             w = sample_noise(noise, config.burn_in + config.length)[config.burn_in :]
             assert np.array_equal(y, apply_boundary_array(clean + w, boundary))
             assert np.array_equal(z, clean[:reads])

@@ -36,13 +36,13 @@ import warnings
 from pathlib import Path
 
 from epsent.cli import dispatch
-from epsent.config import RunConfig
+from epsent.config import RunConfig, flag_of, from_mapping
 from epsent.sweep import companion_stats
 
 RECORD = Path(__file__).resolve().parents[1] / "SCIENCE.json"
 DEFAULT_SEED = RunConfig.seed
 
-# (name, RunConfig overrides, master seeds); every run is otherwise RunConfig()
+# (name, config-key overrides, master seeds); every run is otherwise RunConfig()
 GRIDS = (
     ("logistic/dynamical", {}, (DEFAULT_SEED, 1, 2, 3, 4)),
     ("tent/output", {"map": "tent", "noise_mode": "output"}, (DEFAULT_SEED,)),
@@ -103,12 +103,18 @@ def record_run(grid: str, overrides: dict, seed: int, workers: int, tmp: Path) -
     csv_path = str(tmp / "sweep.csv")
     argv = ["sweep", "--seed", str(seed), "--workers", str(workers), "--out-csv", csv_path]
     for key, value in overrides.items():
-        argv += ["--" + key.replace("_", "-"), str(value)]
+        if isinstance(value, bool):
+            # a bool field is a flag with no value, which can only turn it on
+            argv += [flag_of(key)] * value
+        else:
+            # a tuple field is a repeatable flag
+            for v in value if isinstance(value, tuple) else (value,):
+                argv += [flag_of(key), str(v)]
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "length .* below recommended")
         if dispatch(argv) != 0:
             raise RuntimeError(f"epsent sweep failed: {argv}")
-        selections = companion_stats(RunConfig(**overrides, seed=seed))
+        selections = companion_stats(RunConfig(**from_mapping(overrides), seed=seed))
     with open(csv_path, newline="") as fh:
         rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
